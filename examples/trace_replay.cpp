@@ -10,8 +10,6 @@
 //                [--power-cut-at <host write #>] [--recover]
 //                [--program-fail-prob <p>] [--erase-fail-prob <p>]
 //                [--fault-seed <n>] [--trim-fraction <f>]
-//                [--predict-mode sync|batched|async] [--predict-batch <K>]
-//                [--staleness <S>]
 //                [--gc-mode stop_the_world|time_sliced] [--gc-step-pages <N>]
 //                [--mapping-tier] [--cmt-pages <N>] [--tp-entries <N>]
 //                [--learned-index] [--learned-error <N>]
@@ -33,11 +31,6 @@
 //   trace_replay --trim-fraction 0.1 --power-cut-at 100000 --recover
 //     (override the suite trace's TRIM request fraction; exercises the trim
 //     journal across the cut)
-//   trace_replay --scheme PHFTL --predict-mode batched --predict-batch 64
-//     (defer writes behind one fused int8 batch GEMM; WA is bit-identical
-//     to sync — docs/ARCHITECTURE.md "Prediction pipeline")
-//   trace_replay --scheme PHFTL --predict-mode async --staleness 64
-//     (background predictor thread; deterministic for a fixed staleness)
 //   trace_replay --scheme all --gc-mode time_sliced --gc-step-pages 8
 //     (preemptive GC: each host write advances the in-flight victim by at
 //     most N relocations instead of paying for a whole round — docs/QOS.md)
@@ -92,8 +85,6 @@ void usage() {
                "                    [--program-fail-prob <p>] "
                "[--erase-fail-prob <p>] [--fault-seed <n>]\n"
                "                    [--trim-fraction <f>]\n"
-               "                    [--predict-mode sync|batched|async] "
-               "[--predict-batch <K>] [--staleness <S>]\n"
                "                    [--gc-mode stop_the_world|time_sliced] "
                "[--gc-step-pages <N>]\n"
                "                    [--max-pe-cycles <N>] [--wear-level "
@@ -117,10 +108,6 @@ struct ReplayOptions {
   bool do_recover = false;
   FaultInjector::Config fault_cfg;
   bool with_faults = false;
-  core::PhftlConfig::PredictMode predict_mode =
-      core::PhftlConfig::PredictMode::kSync;
-  std::uint32_t predict_batch = 32;
-  std::uint32_t staleness = 64;
 };
 
 struct ReplayOutcome {
@@ -129,18 +116,12 @@ struct ReplayOutcome {
 };
 
 std::unique_ptr<FtlBase> make_ftl(const std::string& scheme,
-                                  const FtlConfig& cfg,
-                                  const ReplayOptions& opt) {
+                                  const FtlConfig& cfg) {
   if (scheme == "Base") return std::make_unique<BaseFtl>(cfg);
   if (scheme == "2R") return std::make_unique<TwoRFtl>(cfg);
   if (scheme == "SepBIT") return std::make_unique<SepBitFtl>(cfg);
-  if (scheme == "PHFTL") {
-    core::PhftlConfig pcfg = core::default_phftl_config(cfg);
-    pcfg.predict_mode = opt.predict_mode;
-    pcfg.predict_batch = opt.predict_batch;
-    pcfg.async_staleness = opt.staleness;
-    return std::make_unique<core::PhftlFtl>(pcfg);
-  }
+  if (scheme == "PHFTL")
+    return std::make_unique<core::PhftlFtl>(core::default_phftl_config(cfg));
   usage();
   return nullptr;
 }
@@ -168,7 +149,7 @@ ReplayOutcome run_replay(const std::string& scheme, const Trace& trace,
   FaultInjector injector(opt.fault_cfg);
   if (opt.with_faults) cfg.fault_injector = &injector;
 
-  auto ftl = make_ftl(scheme, cfg, opt);
+  auto ftl = make_ftl(scheme, cfg);
 
   if (!opt.trace_out_path.empty())
     ftl->observability().trace().enable(/*capacity=*/65536);
@@ -231,7 +212,7 @@ ReplayOutcome run_replay(const std::string& scheme, const Trace& trace,
     if (r.status == WriteResult::kEnospc) ++enospc_requests;
     if (req.op == OpType::kWrite) written += r.pages_completed;
   }
-  ftl->drain();  // flush deferred batched writes / async pipeline
+  ftl->drain();  // finish a parked GC round before reading final stats
 
   const FtlStats& s = ftl->stats();
   std::snprintf(
@@ -454,21 +435,6 @@ int main(int argc, char** argv) {
       opt.fault_cfg.seed = std::strtoull(next(), nullptr, 10);
     } else if (arg == "--trim-fraction") {
       trim_fraction = std::atof(next());
-    } else if (arg == "--predict-mode") {
-      const std::string mode = next();
-      if (mode == "sync")
-        opt.predict_mode = core::PhftlConfig::PredictMode::kSync;
-      else if (mode == "batched")
-        opt.predict_mode = core::PhftlConfig::PredictMode::kBatched;
-      else if (mode == "async")
-        opt.predict_mode = core::PhftlConfig::PredictMode::kAsync;
-      else usage();
-    } else if (arg == "--predict-batch") {
-      opt.predict_batch =
-          static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
-    } else if (arg == "--staleness") {
-      opt.staleness =
-          static_cast<std::uint32_t>(std::strtoul(next(), nullptr, 10));
     } else if (arg == "--gc-mode") {
       const std::string mode = next();
       if (mode == "stop_the_world") gc_mode = GcMode::kStopTheWorld;
