@@ -1,10 +1,13 @@
 // Kernel-layer micro-benchmarks (google-benchmark).
 //
-// Tracks the two per-operation hot paths this repo optimizes:
+// Tracks the hot paths this repo optimizes:
 //
 //  * predict_incremental — one call per host write. Fused packed-gate
 //    kernels + reusable scratch vs the retained reference implementation
 //    (six naive GEMVs + six heap allocations per call).
+//  * train_epoch — one GRU BPTT epoch per training window. Order-preserving
+//    AVX2 float kernels vs tensor.hpp's scalar loops; both train the same
+//    weights bit for bit.
 //  * GC victim selection — greedy via the incremental victim index (O(1)
 //    pop) and Adjusted Greedy via the bounded ascending-bucket scan, vs
 //    the historical full superblock scan. Run at 1k and 10k superblocks:
@@ -71,6 +74,63 @@ void BM_PredictIncrementalReference(benchmark::State& state) {
     benchmark::DoNotOptimize(q.predict_incremental_reference(x, h));
 }
 BENCHMARK(BM_PredictIncrementalReference);
+
+// --- train_epoch: SIMD training kernels vs the scalar reference ---
+
+// 512 sequences x 8 steps at the paper's H = 32: one full-size window's
+// training set, in 16 minibatches of 32.
+constexpr std::size_t kTrainSeqs = 512, kTrainSteps = 8, kTrainHidden = 32;
+
+std::vector<ml::Sequence> make_train_set() {
+  Xoshiro256 rng(9);
+  std::vector<ml::Sequence> data(kTrainSeqs);
+  for (auto& s : data) {
+    for (std::size_t t = 0; t < kTrainSteps; ++t)
+      s.steps.push_back(random_input(rng));
+    s.label = rng.next_bool(0.5) ? 1 : 0;
+  }
+  return data;
+}
+
+ml::GruClassifier make_trainee() {
+  ml::GruClassifier::Config cfg;
+  cfg.input_dim = core::kInputDim;
+  cfg.hidden_dim = kTrainHidden;
+  return ml::GruClassifier(cfg);
+}
+
+/// Multiply-accumulates in one epoch: per step the six gate matvecs, the
+/// six weight-gradient outer products and the three hidden transpose
+/// matvecs; per sequence the head's matvec, outer product and transpose.
+double train_epoch_macs() {
+  const double in = core::kInputDim, h = kTrainHidden;
+  const double per_step = 2 * (3 * h * in + 3 * h * h) + 3 * h * h;
+  return kTrainSeqs * (kTrainSteps * per_step + 3 * 2 * h);
+}
+
+template <bool kReference>
+void train_epoch_bench(benchmark::State& state) {
+  const auto data = make_train_set();
+  auto model = make_trainee();
+  Xoshiro256 rng(4);
+  for (auto _ : state) {
+    const float loss = kReference ? model.train_epoch_reference(data, 32, rng)
+                                  : model.train_epoch(data, 32, rng);
+    benchmark::DoNotOptimize(loss);
+  }
+  state.counters["MACs"] = train_epoch_macs();
+}
+
+void BM_TrainEpoch(benchmark::State& state) {
+  train_epoch_bench<false>(state);
+  state.counters["avx2"] = ml::kernels::train_kernels_use_avx2() ? 1 : 0;
+}
+BENCHMARK(BM_TrainEpoch)->Unit(benchmark::kMillisecond);
+
+void BM_TrainEpochReference(benchmark::State& state) {
+  train_epoch_bench<true>(state);
+}
+BENCHMARK(BM_TrainEpochReference)->Unit(benchmark::kMillisecond);
 
 // --- Raw GEMV: fused triple-pass vs three naive passes ---
 

@@ -4,7 +4,71 @@
 #include <cmath>
 #include <numeric>
 
+#include "ml/kernels.hpp"
+
 namespace phftl::ml {
+
+namespace {
+
+// The matrix loops of backward_impl and accumulate_gate_grads.
+// ReferenceOps is tensor.hpp's scalar code on the row-major weights, the
+// parity reference. KernelOps runs the dispatched kernels (kernels.hpp);
+// their gate matvecs read the transposed weights in Workspace::gates_t.
+// Both apply the same float operations in the same order to every
+// element, so they train bit-identical weights.
+struct ReferenceOps {
+  static void matvec(ConstMatView w, const float* /*wt*/,
+                     std::span<const float> x, std::span<float> y) {
+    ml::matvec(w, x, y);
+  }
+  static void matvec_acc(ConstMatView w, const float* /*wt*/,
+                         std::span<const float> x, std::span<float> y) {
+    ml::matvec_acc(w, x, y);
+  }
+  /// dw += g_k ⊗ x_k for k = 0..n-1 (g: [n x dw.rows], x: [n x dw.cols]).
+  static void outer_acc_batch(const float* g, const float* x, std::size_t n,
+                              MatView dw) {
+    for (std::size_t k = 0; k < n; ++k)
+      ml::outer_acc({g + k * dw.rows, dw.rows}, {x + k * dw.cols, dw.cols},
+                    dw);
+  }
+  static void matvec_transpose_acc(ConstMatView w, std::span<const float> g,
+                                   std::span<float> xg) {
+    ml::matvec_transpose_acc(w, g, xg);
+  }
+};
+
+struct KernelOps {
+  static void matvec(ConstMatView w, const float* wt,
+                     std::span<const float> x, std::span<float> y) {
+    PHFTL_CHECK(w.cols == x.size() && w.rows == y.size());
+    kernels::matvec_t_f32(wt, w.rows, w.cols, x.data(), y.data());
+  }
+  static void matvec_acc(ConstMatView w, const float* wt,
+                         std::span<const float> x, std::span<float> y) {
+    PHFTL_CHECK(w.cols == x.size() && w.rows == y.size());
+    kernels::matvec_t_acc_f32(wt, w.rows, w.cols, x.data(), y.data());
+  }
+  static void outer_acc_batch(const float* g, const float* x, std::size_t n,
+                              MatView dw) {
+    kernels::outer_acc_batch_f32(g, x, n, dw.rows, dw.cols, dw.data);
+  }
+  static void matvec_transpose_acc(ConstMatView w, std::span<const float> g,
+                                   std::span<float> xg) {
+    PHFTL_CHECK(w.rows == g.size() && w.cols == xg.size());
+    kernels::matvec_transpose_acc_f32(w.data, w.rows, w.cols, g.data(),
+                                      xg.data());
+  }
+};
+
+/// Row k of `buf` viewed as `dim` floats, growing `buf` to hold it.
+std::span<float> record_row(std::vector<float>& buf, std::size_t k,
+                            std::size_t dim) {
+  if (buf.size() < (k + 1) * dim) buf.resize((k + 1) * dim);
+  return {buf.data() + k * dim, dim};
+}
+
+}  // namespace
 
 float softmax_cross_entropy(std::span<const float> logits, int label,
                             std::span<float> probs) {
@@ -47,13 +111,19 @@ GruClassifier::GruClassifier(const Config& cfg)
   ws_.dz.resize(hd);
   ws_.dr.resize(hd);
   ws_.dn.resize(hd);
-  ws_.ds.resize(hd);
-  ws_.daz.resize(hd);
-  ws_.dar.resize(hd);
-  ws_.dan.resize(hd);
   ws_.dh_prev.resize(hd);
   ws_.zero_h.assign(hd, 0.0f);  // read-only zeros (t = 0 hidden state)
   ws_.h_seq.resize(hd);
+  ws_.gates_t.resize(3 * hd * cfg.input_dim + 3 * hd * hd);
+}
+
+void GruClassifier::transpose_gates() {
+  float* out = ws_.gates_t.data();
+  for (std::size_t id : {wz_, wr_, wn_, uz_, ur_, un_}) {
+    const ConstMatView w = store_.param_matrix(id);
+    kernels::transpose_f32(w.data, w.rows, w.cols, out);
+    out += w.size();
+  }
 }
 
 void GruClassifier::step(std::span<const float> x,
@@ -108,10 +178,20 @@ int GruClassifier::predict_incremental(std::span<const float> x,
       std::max_element(logits.begin(), logits.end()) - logits.begin());
 }
 
-float GruClassifier::backward_sequence(const Sequence& seq) {
+template <class Ops>
+float GruClassifier::backward_impl(const Sequence& seq) {
   const std::size_t hd = cfg_.hidden_dim;
   const std::size_t steps = seq.steps.size();
   PHFTL_CHECK(steps > 0);
+
+  // Transposed gate weights, in transpose_gates() order.
+  const std::size_t xin = hd * cfg_.input_dim, hh = hd * hd;
+  const float* wz_t = ws_.gates_t.data();
+  const float* wr_t = wz_t + xin;
+  const float* wn_t = wr_t + xin;
+  const float* uz_t = wn_t + xin;
+  const float* ur_t = uz_t + hh;
+  const float* un_t = ur_t + hh;
 
   // ---- Forward pass, caching activations per step. ----
   // The activation cache and every temporary live in ws_ (see gru.hpp):
@@ -130,19 +210,19 @@ float GruClassifier::backward_sequence(const Sequence& seq) {
     a.s.resize(hd);
     a.h.resize(hd);
 
-    matvec(store_.param_matrix(wz_), x, a.z);
-    matvec_acc(store_.param_matrix(uz_), h_prev, a.z);
+    Ops::matvec(store_.param_matrix(wz_), wz_t, x, a.z);
+    Ops::matvec_acc(store_.param_matrix(uz_), uz_t, h_prev, a.z);
     axpy(1.0f, store_.param_vector(bz_), a.z);
     for (auto& v : a.z) v = sigmoidf(v);
 
-    matvec(store_.param_matrix(wr_), x, a.r);
-    matvec_acc(store_.param_matrix(ur_), h_prev, a.r);
+    Ops::matvec(store_.param_matrix(wr_), wr_t, x, a.r);
+    Ops::matvec_acc(store_.param_matrix(ur_), ur_t, h_prev, a.r);
     axpy(1.0f, store_.param_vector(br_), a.r);
     for (auto& v : a.r) v = sigmoidf(v);
 
-    matvec(store_.param_matrix(un_), h_prev, a.s);
+    Ops::matvec(store_.param_matrix(un_), un_t, h_prev, a.s);
     axpy(1.0f, store_.param_vector(bun_), a.s);
-    matvec(store_.param_matrix(wn_), x, a.n);
+    Ops::matvec(store_.param_matrix(wn_), wn_t, x, a.n);
     axpy(1.0f, store_.param_vector(bn_), a.n);
     for (std::size_t i = 0; i < hd; ++i)
       a.n[i] = std::tanh(a.n[i] + a.r[i] * a.s[i]);
@@ -164,15 +244,19 @@ float GruClassifier::backward_sequence(const Sequence& seq) {
   std::copy(probs.begin(), probs.end(), dlogits.begin());
   dlogits[static_cast<std::size_t>(seq.label)] -= 1.0f;
 
-  outer_acc(dlogits, last.h, store_.grad_matrix(wo_));
+  Ops::outer_acc_batch(dlogits.data(), last.h.data(), 1,
+                       store_.grad_matrix(wo_));
   axpy(1.0f, dlogits, store_.grad_vector(bo_));
 
   fill(ws_.dh, 0.0f);
-  matvec_transpose_acc(store_.param_matrix(wo_), dlogits, ws_.dh);
+  Ops::matvec_transpose_acc(store_.param_matrix(wo_), dlogits, ws_.dh);
 
   // ---- BPTT. ----
-  std::vector<float>&dz = ws_.dz, &dr = ws_.dr, &dn = ws_.dn, &ds = ws_.ds;
-  std::vector<float>&daz = ws_.daz, &dar = ws_.dar, &dan = ws_.dan;
+  // The chain produces each step's gate gradients. The weight gradients
+  // they feed (outer products with x_t and h_{t-1}) never feed back into
+  // it, so each step is appended to the records and accumulate_gate_grads()
+  // adds them later, in the same order.
+  std::vector<float>&dz = ws_.dz, &dr = ws_.dr, &dn = ws_.dn;
   for (std::size_t ti = steps; ti-- > 0;) {
     std::vector<float>& dh = ws_.dh;
     std::vector<float>& dh_prev = ws_.dh_prev;
@@ -181,6 +265,14 @@ float GruClassifier::backward_sequence(const Sequence& seq) {
     std::span<const float> h_before =
         ti == 0 ? std::span<const float>(ws_.zero_h)
                 : std::span<const float>(ws_.acts[ti - 1].h);
+
+    const std::size_t k = ws_.records++;
+    std::span<float> dan = record_row(ws_.rec_dan, k, hd);
+    std::span<float> ds = record_row(ws_.rec_ds, k, hd);
+    std::span<float> daz = record_row(ws_.rec_daz, k, hd);
+    std::span<float> dar = record_row(ws_.rec_dar, k, hd);
+    std::ranges::copy(x, record_row(ws_.rec_x, k, cfg_.input_dim).begin());
+    std::ranges::copy(h_before, record_row(ws_.rec_h, k, hd).begin());
 
     fill(dh_prev, 0.0f);
     for (std::size_t i = 0; i < hd; ++i) {
@@ -196,29 +288,39 @@ float GruClassifier::backward_sequence(const Sequence& seq) {
       dar[i] = dr[i] * a.r[i] * (1.0f - a.r[i]);
     }
 
-    outer_acc(dan, x, store_.grad_matrix(wn_));
     axpy(1.0f, dan, store_.grad_vector(bn_));
-    outer_acc(ds, h_before, store_.grad_matrix(un_));
     axpy(1.0f, ds, store_.grad_vector(bun_));
-    matvec_transpose_acc(store_.param_matrix(un_), ds, dh_prev);
+    Ops::matvec_transpose_acc(store_.param_matrix(un_), ds, dh_prev);
 
-    outer_acc(daz, x, store_.grad_matrix(wz_));
-    outer_acc(daz, h_before, store_.grad_matrix(uz_));
     axpy(1.0f, daz, store_.grad_vector(bz_));
-    matvec_transpose_acc(store_.param_matrix(uz_), daz, dh_prev);
+    Ops::matvec_transpose_acc(store_.param_matrix(uz_), daz, dh_prev);
 
-    outer_acc(dar, x, store_.grad_matrix(wr_));
-    outer_acc(dar, h_before, store_.grad_matrix(ur_));
     axpy(1.0f, dar, store_.grad_vector(br_));
-    matvec_transpose_acc(store_.param_matrix(ur_), dar, dh_prev);
+    Ops::matvec_transpose_acc(store_.param_matrix(ur_), dar, dh_prev);
 
     std::swap(ws_.dh, ws_.dh_prev);
   }
   return loss;
 }
 
-float GruClassifier::train_epoch(const std::vector<Sequence>& data,
-                                 std::size_t batch_size, Xoshiro256& rng) {
+template <class Ops>
+void GruClassifier::accumulate_gate_grads() {
+  const std::size_t n = ws_.records;
+  const float* x = ws_.rec_x.data();
+  const float* h = ws_.rec_h.data();
+  Ops::outer_acc_batch(ws_.rec_dan.data(), x, n, store_.grad_matrix(wn_));
+  Ops::outer_acc_batch(ws_.rec_ds.data(), h, n, store_.grad_matrix(un_));
+  Ops::outer_acc_batch(ws_.rec_daz.data(), x, n, store_.grad_matrix(wz_));
+  Ops::outer_acc_batch(ws_.rec_daz.data(), h, n, store_.grad_matrix(uz_));
+  Ops::outer_acc_batch(ws_.rec_dar.data(), x, n, store_.grad_matrix(wr_));
+  Ops::outer_acc_batch(ws_.rec_dar.data(), h, n, store_.grad_matrix(ur_));
+  ws_.records = 0;
+}
+
+template <class Ops>
+float GruClassifier::train_epoch_impl(const std::vector<Sequence>& data,
+                                      std::size_t batch_size,
+                                      Xoshiro256& rng) {
   if (data.empty()) return 0.0f;
   std::vector<std::size_t> order(data.size());
   std::iota(order.begin(), order.end(), 0);
@@ -229,8 +331,10 @@ float GruClassifier::train_epoch(const std::vector<Sequence>& data,
   while (pos < order.size()) {
     const std::size_t end = std::min(pos + batch_size, order.size());
     store_.zero_grads();
+    transpose_gates();
     for (std::size_t i = pos; i < end; ++i)
-      total_loss += backward_sequence(data[order[i]]);
+      total_loss += backward_impl<Ops>(data[order[i]]);
+    accumulate_gate_grads<Ops>();
     // Average the batch gradient.
     const float inv = 1.0f / static_cast<float>(end - pos);
     for (auto& g : store_.all_grads()) g *= inv;
@@ -238,6 +342,24 @@ float GruClassifier::train_epoch(const std::vector<Sequence>& data,
     pos = end;
   }
   return static_cast<float>(total_loss / static_cast<double>(data.size()));
+}
+
+float GruClassifier::backward_sequence(const Sequence& seq) {
+  transpose_gates();
+  const float loss = backward_impl<KernelOps>(seq);
+  accumulate_gate_grads<KernelOps>();
+  return loss;
+}
+
+float GruClassifier::train_epoch(const std::vector<Sequence>& data,
+                                 std::size_t batch_size, Xoshiro256& rng) {
+  return train_epoch_impl<KernelOps>(data, batch_size, rng);
+}
+
+float GruClassifier::train_epoch_reference(const std::vector<Sequence>& data,
+                                           std::size_t batch_size,
+                                           Xoshiro256& rng) {
+  return train_epoch_impl<ReferenceOps>(data, batch_size, rng);
 }
 
 float GruClassifier::evaluate(const std::vector<Sequence>& data) const {

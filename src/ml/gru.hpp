@@ -63,10 +63,16 @@ class GruClassifier {
   int predict_incremental(std::span<const float> x,
                           std::span<float> h_inout) const;
 
-  /// Train one epoch over `data` with minibatch Adam.
-  /// Returns mean cross-entropy loss over the epoch.
+  /// Train one epoch over `data` with minibatch Adam, through the SIMD
+  /// training kernels (kernels.hpp). Returns mean cross-entropy loss over
+  /// the epoch.
   float train_epoch(const std::vector<Sequence>& data, std::size_t batch_size,
                     Xoshiro256& rng);
+
+  /// train_epoch through tensor.hpp's scalar loops: the parity reference.
+  /// Weights, Adam state and loss come out bit-identical to train_epoch.
+  float train_epoch_reference(const std::vector<Sequence>& data,
+                              std::size_t batch_size, Xoshiro256& rng);
 
   /// Fraction of sequences classified correctly.
   float evaluate(const std::vector<Sequence>& data) const;
@@ -90,8 +96,9 @@ class GruClassifier {
   ConstMatView wo() const { return store_.param_matrix(wo_); }
   std::span<const float> bo() const { return store_.param_vector(bo_); }
 
-  /// Accumulate gradients for one sequence (used by train_epoch and the
-  /// gradient-check test). Returns the sample's cross-entropy loss.
+  /// Accumulate gradients for one sequence (used by the gradient-check
+  /// test; train_epoch runs the same pass). Returns the sample's
+  /// cross-entropy loss.
   float backward_sequence(const Sequence& seq);
 
   ParamStore& store() { return store_; }
@@ -114,10 +121,31 @@ class GruClassifier {
     std::vector<float> z, r, n, s;                  // step()
     std::vector<StepActs> acts;                     // backward forward pass
     std::vector<float> logits, probs, dlogits, dh;  // head + BPTT seeds
-    std::vector<float> dz, dr, dn, ds, daz, dar, dan, dh_prev, zero_h;
+    std::vector<float> dz, dr, dn, dh_prev, zero_h;
     std::vector<float> h_seq;                       // predict_sequence
+    // Wz, Wr, Wn, Uz, Ur, Un transposed back to back, for the kernels'
+    // one-row-per-lane gate matvecs. Refreshed from the parameters by
+    // transpose_gates() before each minibatch (parameters change only at
+    // the Adam step) and by every direct backward_sequence call.
+    std::vector<float> gates_t;
+    // BPTT records of the sequences since the last accumulate_gate_grads():
+    // per step, the gate-preactivation gradients (dan, ds, daz, dar, each
+    // [H]) and the step's inputs x_t [input_dim] and h_{t-1} [H]. Record k
+    // is row k of each buffer; records run sequence ascending, step
+    // descending, the order the weight gradients accumulate in.
+    std::size_t records = 0;
+    std::vector<float> rec_dan, rec_ds, rec_daz, rec_dar, rec_x, rec_h;
   };
   mutable Workspace ws_;
+
+  void transpose_gates();
+  template <class Ops>
+  float backward_impl(const Sequence& seq);
+  template <class Ops>
+  void accumulate_gate_grads();
+  template <class Ops>
+  float train_epoch_impl(const std::vector<Sequence>& data,
+                         std::size_t batch_size, Xoshiro256& rng);
 
   Config cfg_;
   ParamStore store_;

@@ -1,7 +1,9 @@
 #include "ml/kernels.hpp"
 
+#include <algorithm>
 #include <cstring>
 
+#include "ml/tensor.hpp"
 #include "util/assert.hpp"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
@@ -148,5 +150,192 @@ void gemv_i8_ref(const std::int8_t* w, std::size_t rows, std::size_t cols,
     out[r] = acc;
   }
 }
+
+// ---- Float training kernels ----
+
+namespace {
+
+// Portable bodies for CPUs without AVX2: the reference loops, with the
+// matvec reading the transposed layout.
+template <bool kAcc>
+void matvec_t_scalar(const float* wt, std::size_t rows, std::size_t cols,
+                     const float* x, float* y) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    float acc = 0.0f;
+    for (std::size_t c = 0; c < cols; ++c) acc += wt[c * rows + r] * x[c];
+    y[r] = kAcc ? y[r] + acc : acc;
+  }
+}
+
+void outer_acc_batch_scalar(const float* g, const float* x, std::size_t n,
+                            std::size_t rows, std::size_t cols, float* dw) {
+  for (std::size_t k = 0; k < n; ++k)
+    outer_acc({g + k * rows, rows}, {x + k * cols, cols},
+              MatView{dw, rows, cols});
+}
+
+#if PHFTL_KERNELS_X86
+
+// Lanes [0, n) active, for the partial last block of a dimension.
+#ifndef __AVX2__
+__attribute__((target("avx2")))
+#endif
+inline __m256i lane_mask(std::size_t n) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+// Lane i of a row block owns output row r + i and runs the reference's
+// `acc += w[r][c] * x[c]` over c ascending from 0.0f.
+template <bool kAcc>
+#ifndef __AVX2__
+__attribute__((target("avx2")))
+#endif
+void matvec_t_avx2(const float* wt, std::size_t rows, std::size_t cols,
+                   const float* x, float* y) {
+  std::size_t r = 0;
+  // Four row blocks share each broadcast x[c] and hide the add latency.
+  for (; r + 32 <= rows; r += 32) {
+    __m256 a0 = _mm256_setzero_ps(), a1 = a0, a2 = a0, a3 = a0;
+    const float* w = wt + r;
+    for (std::size_t c = 0; c < cols; ++c, w += rows) {
+      const __m256 xc = _mm256_set1_ps(x[c]);
+      a0 = _mm256_add_ps(a0, _mm256_mul_ps(_mm256_loadu_ps(w), xc));
+      a1 = _mm256_add_ps(a1, _mm256_mul_ps(_mm256_loadu_ps(w + 8), xc));
+      a2 = _mm256_add_ps(a2, _mm256_mul_ps(_mm256_loadu_ps(w + 16), xc));
+      a3 = _mm256_add_ps(a3, _mm256_mul_ps(_mm256_loadu_ps(w + 24), xc));
+    }
+    if constexpr (kAcc) {
+      a0 = _mm256_add_ps(_mm256_loadu_ps(y + r), a0);
+      a1 = _mm256_add_ps(_mm256_loadu_ps(y + r + 8), a1);
+      a2 = _mm256_add_ps(_mm256_loadu_ps(y + r + 16), a2);
+      a3 = _mm256_add_ps(_mm256_loadu_ps(y + r + 24), a3);
+    }
+    _mm256_storeu_ps(y + r, a0);
+    _mm256_storeu_ps(y + r + 8, a1);
+    _mm256_storeu_ps(y + r + 16, a2);
+    _mm256_storeu_ps(y + r + 24, a3);
+  }
+  for (; r < rows; r += 8) {
+    const __m256i m = lane_mask(std::min<std::size_t>(8, rows - r));
+    __m256 a = _mm256_setzero_ps();
+    const float* w = wt + r;
+    for (std::size_t c = 0; c < cols; ++c, w += rows)
+      a = _mm256_add_ps(
+          a, _mm256_mul_ps(_mm256_maskload_ps(w, m), _mm256_set1_ps(x[c])));
+    if constexpr (kAcc) a = _mm256_add_ps(_mm256_maskload_ps(y + r, m), a);
+    _mm256_maskstore_ps(y + r, m, a);
+  }
+}
+
+// One block of NV 8-lane columns of output row d (the last vector masked
+// by `last`). Lane i owns d[i] and keeps it in a register while it adds
+// g[k * g_stride] * x[k * cols + i] for k ascending, skipping g == ±0.
+template <std::size_t NV>
+#ifndef __AVX2__
+__attribute__((target("avx2")))
+#endif
+inline void outer_acc_block(const float* g, std::size_t g_stride,
+                            const float* x, std::size_t n, std::size_t cols,
+                            float* d, __m256i last) {
+  __m256 a[NV];
+#pragma GCC unroll 4
+  for (std::size_t v = 0; v + 1 < NV; ++v) a[v] = _mm256_loadu_ps(d + 8 * v);
+  a[NV - 1] = _mm256_maskload_ps(d + 8 * (NV - 1), last);
+  for (std::size_t k = 0; k < n; ++k, g += g_stride, x += cols) {
+    if (*g == 0.0f) continue;
+    const __m256 gv = _mm256_set1_ps(*g);
+#pragma GCC unroll 4
+    for (std::size_t v = 0; v + 1 < NV; ++v)
+      a[v] = _mm256_add_ps(a[v], _mm256_mul_ps(gv, _mm256_loadu_ps(x + 8 * v)));
+    a[NV - 1] = _mm256_add_ps(
+        a[NV - 1],
+        _mm256_mul_ps(gv, _mm256_maskload_ps(x + 8 * (NV - 1), last)));
+  }
+#pragma GCC unroll 4
+  for (std::size_t v = 0; v + 1 < NV; ++v) _mm256_storeu_ps(d + 8 * v, a[v]);
+  _mm256_maskstore_ps(d + 8 * (NV - 1), last, a[NV - 1]);
+}
+
+// dw[r] accumulates its n terms in registers, one column block of up to
+// 32 at a time, instead of loading and storing dw once per term.
+#ifndef __AVX2__
+__attribute__((target("avx2")))
+#endif
+void outer_acc_batch_avx2(const float* g, const float* x, std::size_t n,
+                          std::size_t rows, std::size_t cols, float* dw) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; c += 32) {
+      const std::size_t left = std::min<std::size_t>(32, cols - c);
+      const std::size_t nv = (left + 7) / 8;
+      const __m256i last = lane_mask(left - 8 * (nv - 1));
+      float* d = dw + r * cols + c;
+      switch (nv) {
+        case 1: outer_acc_block<1>(g + r, rows, x + c, n, cols, d, last); break;
+        case 2: outer_acc_block<2>(g + r, rows, x + c, n, cols, d, last); break;
+        case 3: outer_acc_block<3>(g + r, rows, x + c, n, cols, d, last); break;
+        default: outer_acc_block<4>(g + r, rows, x + c, n, cols, d, last);
+      }
+    }
+  }
+}
+
+#endif  // PHFTL_KERNELS_X86
+
+using MatvecFn = void (*)(const float*, std::size_t, std::size_t,
+                          const float*, float*);
+using OuterBatchFn = void (*)(const float*, const float*, std::size_t,
+                              std::size_t, std::size_t, float*);
+
+struct TrainKernels {
+  MatvecFn matvec_t;
+  MatvecFn matvec_t_acc;
+  OuterBatchFn outer_acc_batch;
+  bool avx2;
+};
+
+TrainKernels resolve_train_kernels() {
+#if PHFTL_KERNELS_X86
+  if (__builtin_cpu_supports("avx2"))
+    return {matvec_t_avx2<false>, matvec_t_avx2<true>, outer_acc_batch_avx2,
+            true};
+#endif
+  return {matvec_t_scalar<false>, matvec_t_scalar<true>,
+          outer_acc_batch_scalar, false};
+}
+
+const TrainKernels g_train = resolve_train_kernels();
+
+}  // namespace
+
+void transpose_f32(const float* w, std::size_t rows, std::size_t cols,
+                   float* wt) {
+  for (std::size_t r = 0; r < rows; ++r)
+    for (std::size_t c = 0; c < cols; ++c) wt[c * rows + r] = w[r * cols + c];
+}
+
+void matvec_t_f32(const float* wt, std::size_t rows, std::size_t cols,
+                  const float* x, float* y) {
+  g_train.matvec_t(wt, rows, cols, x, y);
+}
+
+void matvec_t_acc_f32(const float* wt, std::size_t rows, std::size_t cols,
+                      const float* x, float* y) {
+  g_train.matvec_t_acc(wt, rows, cols, x, y);
+}
+
+void outer_acc_batch_f32(const float* g, const float* x, std::size_t n,
+                         std::size_t rows, std::size_t cols, float* dw) {
+  g_train.outer_acc_batch(g, x, n, rows, cols, dw);
+}
+
+void matvec_transpose_acc_f32(const float* w, std::size_t rows,
+                              std::size_t cols, const float* g, float* xg) {
+  // xg += Σ_r g[r] · w[r] is a batch of `rows` one-row outer products;
+  // g[r] · w[r][c] and w[r][c] · g[r] are the same float.
+  g_train.outer_acc_batch(g, w, rows, 1, cols, xg);
+}
+
+bool train_kernels_use_avx2() { return g_train.avx2; }
 
 }  // namespace phftl::ml::kernels

@@ -1,4 +1,6 @@
-// Fused int8 GEMV kernels for the on-device Page Classifier.
+// SIMD kernels for the Page Classifier: int8 inference and float training.
+//
+// ## Fused int8 GEMV (device-side prediction)
 //
 // The GRU's per-write cost is dominated by six int8 matrix-vector products:
 // three input-gate matrices (Wz/Wr/Wn) applied to the quantized features and
@@ -17,6 +19,32 @@
 //    assert parity against the retained reference implementation,
 //  * dispatches to an AVX2 kernel at runtime when the CPU supports it
 //    (compile-time selected when built with -mavx2 / -march=native).
+//
+// ## Order-preserving float kernels (host-side GRU BPTT)
+//
+// Training (GruClassifier::train_epoch) spends nearly all of its time in
+// four float loops: the forward gate matvecs, and in the backward pass the
+// gradient outer products and the transpose matvecs. The scalar versions
+// in tensor.hpp stay as the parity reference (as gemv_i8_ref backs
+// fused_gemv3_i8). Float addition is not associative, so the SIMD bodies
+// here are bound by rules that make every output element bit-identical to
+// the reference:
+//
+//  * one SIMD lane per output element. A lane performs exactly the
+//    reference's sequence of float operations for its element: the matvec
+//    reduction runs over columns in ascending order from a 0.0f start (so
+//    matvec needs W transposed, one output row per lane); the outer product
+//    and the transpose matvec vectorize across columns, and each column
+//    still sees its terms in the reference's order. A batch of outer
+//    products adds them in batch order, exactly as one call per term would;
+//  * separate multiply and add (_mm256_mul_ps + _mm256_add_ps), never FMA:
+//    a fused multiply-add skips the product's rounding;
+//  * the reference's `g == 0.0f` row skip is kept (it also skips -0.0f);
+//  * dimensions that are not multiples of 8 run their tail through masked
+//    loads and stores, with the same per-lane operations.
+//
+// Trained weights, the int8 model deployed from them and every simulated
+// metric are therefore identical whichever path the dispatcher picks.
 #pragma once
 
 #include <cstddef>
@@ -70,5 +98,38 @@ void gemv_i8_ref(const std::int8_t* w, std::size_t rows, std::size_t cols,
 /// True when the runtime dispatcher selected the AVX2 kernel (exposed so
 /// benchmarks can report which path they measured).
 bool fused_gemv3_uses_avx2();
+
+// ---- Float training kernels (see the header comment for the rules). ----
+
+/// Write the transpose of the row-major [rows x cols] matrix `w` into `wt`
+/// ([cols x rows], wt[c * rows + r] = w[r * cols + c]).
+void transpose_f32(const float* w, std::size_t rows, std::size_t cols,
+                   float* wt);
+
+/// y = W x from the transposed weights `wt` (see transpose_f32). Bit-equal
+/// to tensor.hpp's matvec on W.
+void matvec_t_f32(const float* wt, std::size_t rows, std::size_t cols,
+                  const float* x, float* y);
+
+/// y += W x from the transposed weights. Bit-equal to matvec_acc on W: the
+/// product is summed from 0.0f first, then added to y.
+void matvec_t_acc_f32(const float* wt, std::size_t rows, std::size_t cols,
+                      const float* x, float* y);
+
+/// dw += Σ_k g_k ⊗ x_k for row-major [rows x cols] `dw`, where g_k is row k
+/// of the [n x rows] `g` and x_k row k of the [n x cols] `x`. Terms with
+/// g_k[r] == 0 are skipped. Bit-equal to calling outer_acc for k = 0, 1,
+/// ..., n - 1: each element adds its terms in k order, starting from its
+/// own value, but stays in a register across them.
+void outer_acc_batch_f32(const float* g, const float* x, std::size_t n,
+                         std::size_t rows, std::size_t cols, float* dw);
+
+/// xg += Wᵀ g for row-major [rows x cols] `w`; rows with g[r] == 0 are
+/// skipped. Bit-equal to matvec_transpose_acc.
+void matvec_transpose_acc_f32(const float* w, std::size_t rows,
+                              std::size_t cols, const float* g, float* xg);
+
+/// True when the runtime dispatcher selected the AVX2 training kernels.
+bool train_kernels_use_avx2();
 
 }  // namespace phftl::ml::kernels

@@ -2,7 +2,11 @@
 //
 // The models in this repository are tiny (GRU hidden size 32, input ~20),
 // so we favour a small, obvious row-major matrix type over a BLAS
-// dependency. All hot loops are simple enough for the compiler to vectorize.
+// dependency. These loops are plain scalar code. The matvec reductions are
+// serial float sums, and the compiler may not reassociate them, so they do
+// not vectorize. GRU training runs the order-preserving SIMD kernels in
+// kernels.hpp instead, and these loops are their bit-exact parity
+// reference (GruClassifier::train_epoch_reference).
 #pragma once
 
 #include <cmath>

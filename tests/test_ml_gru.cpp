@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "ml/gru.hpp"
@@ -126,6 +127,80 @@ TEST(GruClassifier, GradientMatchesFiniteDifferences) {
     EXPECT_NEAR(analytic[i], numeric, 2e-2f + 0.05f * std::fabs(numeric))
         << "param index " << i;
   }
+}
+
+/// Sequences of lengths 1..8 whose inputs include exact 0.0f and -0.0f.
+std::vector<Sequence> mixed_length_data(std::size_t n, std::size_t input,
+                                        Xoshiro256& rng) {
+  std::vector<Sequence> data(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t t = 0; t < 1 + i % 8; ++t) {
+      auto x = random_vec(input, rng);
+      for (auto& v : x) {
+        const double u = rng.next_double();
+        if (u < 0.15) v = 0.0f;
+        else if (u < 0.25) v = -0.0f;
+        else v = v * 2.0f - 1.0f;
+      }
+      data[i].steps.push_back(std::move(x));
+    }
+    data[i].label = data[i].steps.front()[0] > 0.0f ? 1 : 0;
+  }
+  return data;
+}
+
+TEST(GruClassifier, KernelTrainingBitIdenticalToReference) {
+  // train_epoch (SIMD kernels when the CPU has them) and
+  // train_epoch_reference (tensor.hpp's scalar loops) must produce the
+  // same weights and losses bit for bit: the deployed model, and so every
+  // simulated metric, must not depend on the dispatch target. The shapes
+  // cover the paper's (20, 32) and hidden sizes that leave SIMD tails.
+  const std::size_t shapes[][2] = {{20, 32}, {4, 6}, {5, 9}, {3, 4}};
+  for (const auto& shape : shapes) {
+    auto cfg = tiny_cfg(shape[0], shape[1]);
+    cfg.adam.lr = 1e-2f;  // move far from init within the test's epochs
+    GruClassifier fast(cfg), ref(cfg);
+    Xoshiro256 data_rng(31 + shape[1]);
+    // 100 is not a multiple of the batch size: the last minibatch is short.
+    const auto data = mixed_length_data(100, shape[0], data_rng);
+    Xoshiro256 rng_fast(5), rng_ref(5);
+    for (int epoch = 0; epoch < 24; ++epoch) {
+      const float loss_fast = fast.train_epoch(data, 32, rng_fast);
+      const float loss_ref = ref.train_epoch_reference(data, 32, rng_ref);
+      ASSERT_EQ(0, std::memcmp(&loss_fast, &loss_ref, sizeof(float)))
+          << shape[0] << "x" << shape[1] << " epoch " << epoch << ": "
+          << loss_fast << " vs " << loss_ref;
+      const auto w_fast = fast.weights(), w_ref = ref.weights();
+      ASSERT_EQ(w_fast.size(), w_ref.size());
+      ASSERT_EQ(0, std::memcmp(w_fast.data(), w_ref.data(),
+                               w_fast.size() * sizeof(float)))
+          << shape[0] << "x" << shape[1] << " epoch " << epoch;
+    }
+    EXPECT_NE(fast.weights(), GruClassifier(cfg).weights());
+  }
+}
+
+TEST(GruClassifier, BackwardSequenceSeesWeightChanges) {
+  // A direct backward_sequence call must use the current weights even when
+  // they changed after an earlier call (its kernels read a transposed copy).
+  const auto cfg = tiny_cfg(5, 9);
+  GruClassifier a(cfg), b([&] {
+    auto c = cfg;
+    c.seed = 1234;
+    return c;
+  }());
+  Xoshiro256 rng(41);
+  const auto data = mixed_length_data(4, 5, rng);
+  a.store().zero_grads();
+  a.backward_sequence(data[3]);  // transposes a's initial weights
+  a.load_weights(b.weights());
+  a.store().zero_grads();
+  b.store().zero_grads();
+  const float loss_a = a.backward_sequence(data[3]);
+  const float loss_b = b.backward_sequence(data[3]);
+  EXPECT_EQ(loss_a, loss_b);
+  const auto ga = a.store().all_grads(), gb = b.store().all_grads();
+  EXPECT_EQ(0, std::memcmp(ga.data(), gb.data(), ga.size() * sizeof(float)));
 }
 
 TEST(GruClassifier, LearnsLinearlySeparableSequences) {

@@ -1,9 +1,11 @@
-// Fused int8 kernel layer: exactness against the reference scalar path.
+// Kernel layer: exactness against the reference scalar paths.
 //
-// The fused kernels accumulate in int32, so their results must be *bit
+// The fused int8 kernels accumulate in int32, so their results must be *bit
 // identical* to the naive loops regardless of which dispatch target (scalar
 // or AVX2) runs — these tests assert that, both at the GEMV level and
-// end-to-end through QuantizedGru::predict_incremental.
+// end-to-end through QuantizedGru::predict_incremental. The float training
+// kernels keep every output element's operation order, so they too must
+// match tensor.hpp's loops bit for bit, tails and zero rows included.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -140,6 +142,117 @@ TEST(QuantizedGruFused, BitExactAfterTraining) {
     ASSERT_EQ(q.predict_incremental(x, h_fused),
               q.predict_incremental_reference(x, h_ref));
     ASSERT_EQ(0, std::memcmp(h_fused.data(), h_ref.data(), h_fused.size()));
+  }
+}
+
+// ---- Float training kernels vs tensor.hpp ----
+
+/// Values in [-1, 1) with exact 0.0f and -0.0f mixed in.
+std::vector<float> random_signed_vec(std::size_t n, Xoshiro256& rng) {
+  std::vector<float> v(n);
+  for (auto& x : v) {
+    const double u = rng.next_double();
+    if (u < 0.1) x = 0.0f;
+    else if (u < 0.2) x = -0.0f;
+    else x = static_cast<float>(rng.next_double() * 2.0 - 1.0);
+  }
+  return v;
+}
+
+bool bit_equal(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// {rows, cols}: below, at and above one 8-lane block and the 32-row block,
+// with every tail length.
+const std::size_t kFloatShapes[][2] = {
+    {1, 1},   {4, 3},   {6, 4},   {9, 5},   {7, 8},   {8, 8},  {32, 20},
+    {32, 32}, {2, 32},  {33, 17}, {40, 7},  {31, 39}, {64, 96}, {3, 70}};
+
+TEST(TrainKernels, MatvecTransposedMatchesMatvecExactly) {
+  Xoshiro256 rng(5);
+  for (const auto& shape : kFloatShapes) {
+    const std::size_t rows = shape[0], cols = shape[1];
+    const auto w = random_signed_vec(rows * cols, rng);
+    const auto x = random_signed_vec(cols, rng);
+    std::vector<float> wt(rows * cols);
+    kernels::transpose_f32(w.data(), rows, cols, wt.data());
+    const ConstMatView wv(w.data(), rows, cols);
+
+    std::vector<float> ref(rows), out(rows, 7.0f);
+    matvec(wv, x, ref);
+    kernels::matvec_t_f32(wt.data(), rows, cols, x.data(), out.data());
+    EXPECT_TRUE(bit_equal(out, ref)) << "matvec " << rows << "x" << cols;
+
+    const auto y0 = random_signed_vec(rows, rng);
+    std::vector<float> ref_acc = y0, out_acc = y0;
+    matvec_acc(wv, x, ref_acc);
+    kernels::matvec_t_acc_f32(wt.data(), rows, cols, x.data(),
+                              out_acc.data());
+    EXPECT_TRUE(bit_equal(out_acc, ref_acc))
+        << "matvec_acc " << rows << "x" << cols;
+  }
+}
+
+TEST(TrainKernels, OuterAccBatchMatchesReferenceExactly) {
+  // A batch of n outer products must equal n outer_acc calls in order,
+  // into a dw that holds signed zeros, as a gradient buffer does.
+  Xoshiro256 rng(6);
+  for (const auto& shape : kFloatShapes) {
+    const std::size_t rows = shape[0], cols = shape[1];
+    for (const std::size_t n : {1u, 3u, 40u}) {
+      const auto g = random_signed_vec(n * rows, rng);
+      const auto x = random_signed_vec(n * cols, rng);
+      std::vector<float> ref = random_signed_vec(rows * cols, rng);
+      std::vector<float> out = ref;
+      for (std::size_t k = 0; k < n; ++k)
+        outer_acc({g.data() + k * rows, rows}, {x.data() + k * cols, cols},
+                  MatView{ref.data(), rows, cols});
+      kernels::outer_acc_batch_f32(g.data(), x.data(), n, rows, cols,
+                                   out.data());
+      EXPECT_TRUE(bit_equal(out, ref)) << rows << "x" << cols << " n " << n;
+    }
+  }
+}
+
+TEST(TrainKernels, MatvecTransposeAccMatchesReferenceExactly) {
+  Xoshiro256 rng(7);
+  for (const auto& shape : kFloatShapes) {
+    const std::size_t rows = shape[0], cols = shape[1];
+    const auto w = random_signed_vec(rows * cols, rng);
+    const auto g = random_signed_vec(rows, rng);
+    std::vector<float> ref = random_signed_vec(cols, rng);
+    std::vector<float> out = ref;
+    matvec_transpose_acc(ConstMatView(w.data(), rows, cols), g, ref);
+    kernels::matvec_transpose_acc_f32(w.data(), rows, cols, g.data(),
+                                      out.data());
+    EXPECT_TRUE(bit_equal(out, ref)) << rows << "x" << cols;
+  }
+}
+
+TEST(TrainKernels, AllZeroGradientRowsLeaveOutputsUntouched) {
+  // The reference skips rows whose gradient is ±0. Without that skip a
+  // -0.0f accumulator would turn into +0.0f, so the kernels must skip too.
+  Xoshiro256 rng(8);
+  for (const auto& shape : kFloatShapes) {
+    const std::size_t rows = shape[0], cols = shape[1];
+    std::vector<float> g(rows, 0.0f);
+    for (std::size_t r = 1; r < rows; r += 2) g[r] = -0.0f;
+    const auto w = random_signed_vec(rows * cols, rng);
+    const auto x = random_signed_vec(cols, rng);
+
+    std::vector<float> dw(rows * cols, -0.0f);
+    const auto dw0 = dw;
+    kernels::outer_acc_batch_f32(g.data(), x.data(), 1, rows, cols,
+                                 dw.data());
+    EXPECT_TRUE(bit_equal(dw, dw0)) << "outer " << rows << "x" << cols;
+
+    std::vector<float> xg(cols, -0.0f);
+    const auto xg0 = xg;
+    kernels::matvec_transpose_acc_f32(w.data(), rows, cols, g.data(),
+                                      xg.data());
+    EXPECT_TRUE(bit_equal(xg, xg0)) << "transpose " << rows << "x" << cols;
   }
 }
 
