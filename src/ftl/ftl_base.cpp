@@ -8,6 +8,30 @@
 
 namespace phftl {
 
+namespace {
+
+/// (start, len) pairs of the maximal runs of LPNs in [start, start + n) for
+/// which `in_run(lpn)` holds, ascending. `in_run` sees every LPN once, in
+/// order, so it may act on the pages it accepts.
+template <typename InRun>
+std::vector<std::uint64_t> coalesce_runs(Lpn start, std::uint64_t n,
+                                         InRun&& in_run) {
+  std::vector<std::uint64_t> pairs;
+  std::uint64_t run_len = 0;
+  for (Lpn lpn = start; lpn < start + n; ++lpn) {
+    if (in_run(lpn)) {
+      if (run_len++ == 0) pairs.push_back(lpn);
+    } else if (run_len > 0) {
+      pairs.push_back(run_len);
+      run_len = 0;
+    }
+  }
+  if (run_len > 0) pairs.push_back(run_len);
+  return pairs;
+}
+
+}  // namespace
+
 FtlBase::FtlBase(const FtlConfig& cfg, std::uint32_t num_streams)
     : cfg_(cfg),
       flash_(cfg.geom),
@@ -20,7 +44,7 @@ FtlBase::FtlBase(const FtlConfig& cfg, std::uint32_t num_streams)
       valid_bit_(cfg.geom.total_pages(), 0),
       gc_count_(cfg.geom.total_pages(), 0),
       sb_meta_(cfg.geom.num_superblocks()),
-      open_(num_streams),
+      open_(2 * std::size_t{num_streams} + 1, kNoSb),
       pending_retire_(cfg.geom.num_superblocks(), 0),
       wear_(cfg.geom.num_superblocks(), 0),
       is_journal_sb_(cfg.geom.num_superblocks(), 0),
@@ -66,9 +90,6 @@ FtlBase::FtlBase(const FtlConfig& cfg, std::uint32_t num_streams)
                       cfg.geom.pages_per_superblock());
   journal_compact_threshold_ =
       std::max<std::uint64_t>(cfg.geom.pages_per_superblock() / 2, 2);
-  // Sized unconditionally so is_translation_sb() is always answerable;
-  // with the tier off no bit ever gets set.
-  is_translation_sb_.assign(cfg.geom.num_superblocks(), 0);
   if (cfg_.mapping_tier) {
     // One translation page maps tp_entries_ consecutive LPNs; the physical
     // ceiling is what the page data area holds at 8 B per PPN. Smaller
@@ -85,7 +106,6 @@ FtlBase::FtlBase(const FtlConfig& cfg, std::uint32_t num_streams)
     cmt_.reset(cmt_cap);
     cmt_entries_.assign(cmt_cap * tp_entries_, kInvalidPpn);
     cmt_dirty_.assign(cmt_cap, 0);
-    trans_open_.assign(num_streams_, OpenStream::kNoSb);
     if (cfg_.learned_index) {
       learned_.reset(logical_pages_, tp_entries_, cfg_.learned_error_bound);
     }
@@ -528,42 +548,27 @@ WriteResult FtlBase::write_page_impl(Lpn lpn, const WriteContext& ctx_in,
   // don't grow the mapped set and stay allowed until the watermark itself
   // sinks below the mapped count (lost blocks) — then the drive is
   // effectively read-only until the host trims.
-  const bool new_mapping = l2p_[lpn] == kInvalidPpn;
-  if (mapped_count_ + (new_mapping ? 1 : 0) > capacity_watermark_pages()) {
-    PHFTL_CHECK_MSG(checked,
-                    "host write rejected at the capacity watermark (ENOSPC); "
-                    "use try_write_page()/submit_checked() to handle it");
-    ++stats_.enospc_rejections;
-    enospc_ctr_->inc();
-    obs_.trace().record(obs::TraceEventType::kEnospc, virtual_clock_, lpn,
-                        mapped_count_);
-    return WriteResult::kEnospc;
-  }
-
+  //
   // End-of-life admission (docs/ENDURANCE.md): when wear retirement has
   // drained the free pool and no open superblock can take another page,
   // the write has physically nowhere to land — reject it rather than
   // abort deep inside the append path. A healthy drive never trips this
   // (GC keeps the pool at its floor); the empty() test keeps it free.
-  if (free_pool_.empty()) {
-    bool can_append = false;
-    for (const auto& os : open_) {
-      if (os.sb != OpenStream::kNoSb &&
-          flash_.write_pointer(os.sb) < data_capacity(os.sb)) {
-        can_append = true;
-        break;
-      }
-    }
-    if (!can_append) {
-      PHFTL_CHECK_MSG(checked,
-                      "device at end-of-life: no programmable space left; "
-                      "use try_write_page()/submit_checked() to handle it");
-      ++stats_.enospc_rejections;
-      enospc_ctr_->inc();
-      obs_.trace().record(obs::TraceEventType::kEnospc, virtual_clock_, lpn,
-                          mapped_count_);
-      return WriteResult::kEnospc;
-    }
+  const bool new_mapping = l2p_[lpn] == kInvalidPpn;
+  const char* reject = nullptr;
+  if (mapped_count_ + (new_mapping ? 1 : 0) > capacity_watermark_pages())
+    reject = "host write rejected at the capacity watermark (ENOSPC); "
+             "use try_write_page()/submit_checked() to handle it";
+  else if (free_pool_.empty() && open_data_room() == 0)
+    reject = "device at end-of-life: no programmable space left; "
+             "use try_write_page()/submit_checked() to handle it";
+  if (reject != nullptr) {
+    PHFTL_CHECK_MSG(checked, reject);
+    ++stats_.enospc_rejections;
+    enospc_ctr_->inc();
+    obs_.trace().record(obs::TraceEventType::kEnospc, virtual_clock_, lpn,
+                        mapped_count_);
+    return WriteResult::kEnospc;
   }
 
   WriteContext ctx = ctx_in;
@@ -581,7 +586,8 @@ WriteResult FtlBase::write_page_impl(Lpn lpn, const WriteContext& ctx_in,
   oob.lpn = lpn;
   oob.write_time = virtual_clock_;
   fill_user_oob(lpn, oob);
-  const Ppn ppn = append(stream, lpn, /*payload=*/lpn ^ 0x5bd1e995ULL, oob);
+  const Ppn ppn = append<PageKind::kUser>(stream, lpn,
+                         /*payload=*/lpn ^ 0x5bd1e995ULL, oob, nullptr);
   l2p_[lpn] = ppn;
   gc_count_[ppn] = 0;
   if (cfg_.mapping_tier) map_update(lpn, ppn);
@@ -630,40 +636,25 @@ std::uint64_t FtlBase::trim_range(Lpn start, std::uint64_t n) {
                   "trim beyond logical capacity");
   // Unmap in RAM first, collecting the *effective* runs (pages that were
   // actually mapped); already-unmapped pages are no-ops and neither counted
-  // nor journaled. The loop is sequential, so each run is contiguous.
-  std::vector<std::uint64_t> pairs;  // (start, len) range records
-  Lpn run_start = 0;
-  std::uint64_t run_len = 0;
+  // nor journaled.
   std::uint64_t effective = 0;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const Lpn lpn = start + i;
-    if (l2p_[lpn] == kInvalidPpn) {
-      if (run_len > 0) {
-        pairs.push_back(run_start);
-        pairs.push_back(run_len);
-        run_len = 0;
-      }
-      continue;
-    }
-    invalidate(lpn);
-    l2p_[lpn] = kInvalidPpn;
-    if (cfg_.mapping_tier) map_update(lpn, kInvalidPpn);
-    PHFTL_CHECK(mapped_count_ > 0);
-    --mapped_count_;
-    if (!tombstone_[lpn]) {
-      tombstone_[lpn] = 1;
-      ++live_tombstones_;
-    }
-    ++stats_.trims;
-    trims_ctr_->inc();
-    ++effective;
-    if (run_len == 0) run_start = lpn;
-    ++run_len;
-  }
-  if (run_len > 0) {
-    pairs.push_back(run_start);
-    pairs.push_back(run_len);
-  }
+  const std::vector<std::uint64_t> pairs =
+      coalesce_runs(start, n, [&](Lpn lpn) {
+        if (l2p_[lpn] == kInvalidPpn) return false;
+        invalidate(lpn);
+        l2p_[lpn] = kInvalidPpn;
+        if (cfg_.mapping_tier) map_update(lpn, kInvalidPpn);
+        PHFTL_CHECK(mapped_count_ > 0);
+        --mapped_count_;
+        if (!tombstone_[lpn]) {
+          tombstone_[lpn] = 1;
+          ++live_tombstones_;
+        }
+        ++stats_.trims;
+        trims_ctr_->inc();
+        ++effective;
+        return true;
+      });
   // Persist the trim before acknowledging it: recovery replays these
   // records after the OOB rebuild so stale copies cannot resurrect.
   if (!pairs.empty()) append_journal_records(pairs);
@@ -678,72 +669,16 @@ void FtlBase::append_journal_records(const std::vector<std::uint64_t>& pairs) {
       std::max<std::uint64_t>(geom().page_size / 16, 1) * 2;
   for (std::size_t i = 0; i < pairs.size(); i += max_u64s) {
     const std::size_t end = std::min<std::size_t>(pairs.size(), i + max_u64s);
-    append_journal_page(std::vector<std::uint64_t>(
+    const std::vector<std::uint64_t> chunk(
         pairs.begin() + static_cast<std::ptrdiff_t>(i),
-        pairs.begin() + static_cast<std::ptrdiff_t>(end)));
-  }
-  if (journal_pages_used_ >= journal_compact_threshold_ && !in_compaction_)
-    compact_trim_journal();
-}
-
-void FtlBase::append_journal_page(std::vector<std::uint64_t> chunk) {
-  PHFTL_CHECK(!chunk.empty());
-  const std::uint64_t records = chunk.size() / 2;
-  // Program failures restart the loop like append(): the failing journal
-  // superblock is closed and marked pending-retire (compaction, not GC,
-  // reclaims journal blocks) and the record retries on a fresh superblock.
-  for (std::uint32_t attempt = 0;; ++attempt) {
-    PHFTL_CHECK_MSG(attempt < 64, "journal program retry limit exceeded");
-    if (journal_sb_ == OpenStream::kNoSb) {
-      if (free_pool_.empty()) maybe_gc();
-      journal_sb_ = allocate_superblock(/*stream=*/0);
-      is_journal_sb_[journal_sb_] = 1;
-      journal_sbs_.push_back(journal_sb_);
-      obs_.trace().record(obs::TraceEventType::kSuperblockOpen, virtual_clock_,
-                          journal_sb_, 0, 0);
-    }
+        pairs.begin() + static_cast<std::ptrdiff_t>(end));
     OobData oob;  // journal pages carry no logical mapping (lpn stays ~0)
     oob.kind = PageKind::kTrimJournal;
     oob.write_time = virtual_clock_;
-    // Tombstone cutoff: every data copy of a trimmed LPN existing at this
-    // moment has program_seq <= this value; any rewrite lands above it.
-    oob.trim_seq = flash_.program_seq();
-    const Ppn ppn = flash_.program_blob(journal_sb_, oob, chunk);
-    if (ppn == kInvalidPpn) {
-      ++stats_.program_failures;
-      program_fail_ctr_->inc();
-      obs_.trace().record(obs::TraceEventType::kProgramFail, virtual_clock_,
-                          journal_sb_, 0, 0);
-      flash_.close_superblock(journal_sb_);
-      sb_meta_[journal_sb_].close_time = virtual_clock_;
-      if (!pending_retire_[journal_sb_]) {
-        pending_retire_[journal_sb_] = 1;
-        ++pending_retire_count_;
-      }
-      obs_.trace().record(obs::TraceEventType::kSuperblockClose,
-                          virtual_clock_, journal_sb_, 0, 0);
-      journal_sb_ = OpenStream::kNoSb;
-      continue;
-    }
-    ++stats_.journal_writes;
-    ++journal_pages_used_;
-    journal_appends_ctr_->inc();
-    journal_records_ctr_->add(records);
-    obs_.trace().record(obs::TraceEventType::kTrimJournalAppend,
-                        virtual_clock_, ppn, records);
-    obs_.trace().record(obs::TraceEventType::kFlashProgram, virtual_clock_,
-                        ppn, 0, 0);
-    if (flash_.write_pointer(journal_sb_) >= geom().pages_per_superblock()) {
-      // Journal superblocks never enter the victim index: GC must not erase
-      // records that are still the only durable copy of a trim.
-      flash_.close_superblock(journal_sb_);
-      sb_meta_[journal_sb_].close_time = virtual_clock_;
-      obs_.trace().record(obs::TraceEventType::kSuperblockClose,
-                          virtual_clock_, journal_sb_, 0, 0);
-      journal_sb_ = OpenStream::kNoSb;
-    }
-    return;
+    append<PageKind::kTrimJournal>(/*stream=*/0, kInvalidLpn, 0, oob, &chunk);
   }
+  if (journal_pages_used_ >= journal_compact_threshold_ && !in_compaction_)
+    compact_trim_journal();
 }
 
 void FtlBase::compact_trim_journal() {
@@ -755,46 +690,17 @@ void FtlBase::compact_trim_journal() {
   // (replay is idempotent, duplicates are harmless).
   std::vector<std::uint64_t> old_sbs;
   old_sbs.swap(journal_sbs_);
-  if (journal_sb_ != OpenStream::kNoSb) {
-    flash_.close_superblock(journal_sb_);
-    sb_meta_[journal_sb_].close_time = virtual_clock_;
-    obs_.trace().record(obs::TraceEventType::kSuperblockClose, virtual_clock_,
-                        journal_sb_, 0, 0);
-    journal_sb_ = OpenStream::kNoSb;
+  std::uint64_t& journal_open = open_[open_slot(PageKind::kTrimJournal, 0)];
+  if (journal_open != kNoSb) {
+    close_superblock(journal_open, /*indexed=*/false);
+    journal_open = kNoSb;
   }
   journal_pages_used_ = 0;
 
   // Rewrite the live tombstone set densely (coalesced runs, full pages).
-  if (live_tombstones_ > 0) {
-    std::vector<std::uint64_t> pairs;
-    Lpn run_start = 0;
-    std::uint64_t run_len = 0;
-    for (Lpn lpn = 0; lpn < logical_pages_; ++lpn) {
-      if (!tombstone_[lpn]) {
-        if (run_len > 0) {
-          pairs.push_back(run_start);
-          pairs.push_back(run_len);
-          run_len = 0;
-        }
-        continue;
-      }
-      if (run_len == 0) run_start = lpn;
-      ++run_len;
-    }
-    if (run_len > 0) {
-      pairs.push_back(run_start);
-      pairs.push_back(run_len);
-    }
-    const std::uint64_t max_u64s =
-        std::max<std::uint64_t>(geom().page_size / 16, 1) * 2;
-    for (std::size_t i = 0; i < pairs.size(); i += max_u64s) {
-      const std::size_t end =
-          std::min<std::size_t>(pairs.size(), i + max_u64s);
-      append_journal_page(std::vector<std::uint64_t>(
-          pairs.begin() + static_cast<std::ptrdiff_t>(i),
-          pairs.begin() + static_cast<std::ptrdiff_t>(end)));
-    }
-  }
+  if (live_tombstones_ > 0)
+    append_journal_records(coalesce_runs(
+        0, logical_pages_, [&](Lpn lpn) { return tombstone_[lpn] != 0; }));
 
   // Reclaim the superseded journal superblocks.
   for (const std::uint64_t sb : old_sbs) {
@@ -816,14 +722,7 @@ void FtlBase::compact_trim_journal() {
 void FtlBase::raw_unmap(Lpn lpn) {
   const Ppn old = l2p_[lpn];
   if (old == kInvalidPpn) return;
-  PHFTL_CHECK_MSG(valid_bit_[old], "mapping points at invalid page");
-  valid_bit_[old] = 0;
-  p2l_[old] = kInvalidLpn;
-  const std::uint64_t sb = geom().superblock_of(old);
-  PHFTL_CHECK(sb_meta_[sb].valid_count > 0);
-  --sb_meta_[sb].valid_count;
-  if (victim_index_.contains(sb))
-    victim_index_.update(sb, sb_meta_[sb].valid_count);
+  drop_valid_page(old);
   l2p_[lpn] = kInvalidPpn;
   PHFTL_CHECK(mapped_count_ > 0);
   --mapped_count_;
@@ -832,14 +731,7 @@ void FtlBase::raw_unmap(Lpn lpn) {
 void FtlBase::invalidate(Lpn lpn) {
   const Ppn old = l2p_[lpn];
   if (old == kInvalidPpn) return;
-  PHFTL_CHECK_MSG(valid_bit_[old], "mapping points at invalid page");
-  valid_bit_[old] = 0;
-  p2l_[old] = kInvalidLpn;
-  const std::uint64_t sb = geom().superblock_of(old);
-  PHFTL_CHECK(sb_meta_[sb].valid_count > 0);
-  --sb_meta_[sb].valid_count;
-  if (victim_index_.contains(sb))  // closed blocks migrate buckets
-    victim_index_.update(sb, sb_meta_[sb].valid_count);
+  drop_valid_page(old);
   on_page_invalidated(lpn, old, virtual_clock_);
 }
 
@@ -863,88 +755,152 @@ std::uint64_t FtlBase::allocate_superblock(std::uint32_t stream) {
   return sb;
 }
 
-Ppn FtlBase::append(std::uint32_t stream, Lpn lpn, std::uint64_t payload,
-                    const OobData& oob) {
-  // Program failures restart the loop: the failing superblock is closed and
-  // marked for retirement, and the page retries on a fresh superblock. The
-  // attempt bound only trips under absurd fault rates (each attempt consumes
-  // a whole superblock).
+std::uint64_t FtlBase::open_data_room() const {
+  std::uint64_t room = 0;
+  for (std::uint32_t s = 0; s < num_streams_; ++s) {
+    const std::uint64_t sb = open_[s];
+    if (sb == kNoSb) continue;
+    const std::uint64_t wp = flash_.write_pointer(sb);
+    const std::uint64_t cap = data_capacity(sb);
+    room += cap > wp ? cap - wp : 0;
+  }
+  return room;
+}
+
+void FtlBase::close_superblock(std::uint64_t sb, bool indexed) {
+  flash_.close_superblock(sb);
+  sb_meta_[sb].close_time = virtual_clock_;
+  if (indexed) victim_index_.insert(sb, sb_meta_[sb].valid_count);
+  obs_.trace().record(obs::TraceEventType::kSuperblockClose, virtual_clock_,
+                      sb, sb_meta_[sb].valid_count, sb_meta_[sb].stream);
+}
+
+void FtlBase::note_program_failure(std::uint64_t sb) {
+  ++stats_.program_failures;
+  program_fail_ctr_->inc();
+  obs_.trace().record(obs::TraceEventType::kProgramFail, virtual_clock_, sb,
+                      0, sb_meta_[sb].stream);
+  if (!pending_retire_[sb]) {
+    pending_retire_[sb] = 1;
+    ++pending_retire_count_;
+  }
+}
+
+template <PageKind kind>
+Ppn FtlBase::append(std::uint32_t stream, std::uint64_t key,
+                    std::uint64_t payload, OobData& oob,
+                    const std::vector<std::uint64_t>* blob) {
+  constexpr bool journal = kind == PageKind::kTrimJournal;
+  // Program failures restart the loop. The attempt bound only trips under
+  // absurd fault rates (each attempt consumes a whole superblock).
   for (std::uint32_t attempt = 0;; ++attempt) {
     PHFTL_CHECK_MSG(attempt < 64, "program retry limit exceeded");
     std::uint32_t target = stream;
-    if (open_[stream].sb == OpenStream::kNoSb && free_pool_.empty()) {
-      // Memory-pressure fallback: GC migration may transiently need a fresh
-      // superblock when none is free. Borrow space from any stream that
-      // still has an open superblock (real firmware mixes streams under
-      // pressure) rather than deadlocking; separation quality degrades for
-      // those few pages only. Host writes reach here only at device
-      // end-of-life (wear retirement drained the pool): the admission
-      // check guarantees an open superblock with room exists, so the
-      // drive's last pages mix streams instead of crashing.
-      bool found = false;
-      for (std::uint32_t s = 0; s < num_streams_; ++s) {
-        if (open_[s].sb != OpenStream::kNoSb) {
-          target = s;
-          found = true;
-          break;
+    if (open_[open_slot(kind, target)] == kNoSb && free_pool_.empty()) {
+      // Journal and translation pages are written outside the host-write
+      // path that runs GC afterwards, so they reclaim first (a no-op while
+      // a GC step is the writer).
+      if constexpr (kind != PageKind::kUser) maybe_gc();
+      if (free_pool_.empty()) {
+        // Memory-pressure fallback: GC migration may transiently need a
+        // fresh superblock when none is free. Borrow space from any stream
+        // that still has an open superblock of this kind (real firmware
+        // mixes streams under pressure) rather than deadlocking; separation
+        // quality degrades for those few pages only. Host writes reach
+        // here only at device end-of-life (wear retirement drained the
+        // pool): the admission check guarantees an open data superblock
+        // with room exists, so the drive's last pages mix streams instead
+        // of crashing. The journal has no other slot to borrow.
+        bool found = false;
+        for (std::uint32_t s = 0; s < num_streams_ && !found; ++s) {
+          if (open_[open_slot(kind, s)] != kNoSb) {
+            target = s;
+            found = true;
+          }
         }
+        PHFTL_CHECK_MSG(found, "capacity exhausted: no open superblock left");
+        ++stats_.stream_borrows;
+        stream_borrows_ctr_->inc();
       }
-      PHFTL_CHECK_MSG(found, "capacity exhausted: no open superblock left");
-      ++stats_.stream_borrows;
-      stream_borrows_ctr_->inc();
     }
-    OpenStream& os = open_[target];
-    if (os.sb == OpenStream::kNoSb) {
-      os.sb = allocate_superblock(target);
+    const std::size_t slot = open_slot(kind, target);
+    if (open_[slot] == kNoSb) {
+      open_[slot] = allocate_superblock(target);
+      if constexpr (journal) {
+        is_journal_sb_[open_[slot]] = 1;
+        journal_sbs_.push_back(open_[slot]);
+      }
       obs_.trace().record(obs::TraceEventType::kSuperblockOpen, virtual_clock_,
-                          os.sb, 0, target);
+                          open_[slot], 0, target);
     }
-
-    const Ppn ppn = flash_.program(os.sb, payload, oob);
+    const std::uint64_t sb = open_[slot];
+    // Tombstone cutoff: every data copy of a trimmed LPN existing at this
+    // moment has program_seq <= this value; any rewrite lands above it.
+    if constexpr (journal) oob.trim_seq = flash_.program_seq();
+    const Ppn ppn = kind == PageKind::kUser
+                        ? flash_.program(sb, payload, oob)
+                        : flash_.program_blob(sb, oob, *blob);
     if (ppn == kInvalidPpn) {
       // Program abort: the targeted page is consumed and empty. A block
       // that failed a program is untrustworthy — close it immediately
       // (skipping finalize_superblock: no meta pages go into a failing
       // block; their content is recoverable from the per-page OOB copies)
       // and mark it for retirement. Its valid pages stay readable; GC will
-      // drain them and retire the block instead of erasing it.
-      ++stats_.program_failures;
-      program_fail_ctr_->inc();
-      obs_.trace().record(obs::TraceEventType::kProgramFail, virtual_clock_,
-                          os.sb, 0, target);
-      flash_.close_superblock(os.sb);
-      sb_meta_[os.sb].close_time = virtual_clock_;
-      if (!pending_retire_[os.sb]) {
-        pending_retire_[os.sb] = 1;
-        ++pending_retire_count_;
-      }
-      victim_index_.insert(os.sb, sb_meta_[os.sb].valid_count);
-      obs_.trace().record(obs::TraceEventType::kSuperblockClose,
-                          virtual_clock_, os.sb, sb_meta_[os.sb].valid_count,
-                          target);
-      os.sb = OpenStream::kNoSb;
+      // drain them and retire the block instead of erasing it (compaction,
+      // not GC, reclaims a journal block).
+      note_program_failure(sb);
+      close_superblock(sb, /*indexed=*/!journal);
+      open_[slot] = kNoSb;
       continue;
     }
-    p2l_[ppn] = lpn;
-    valid_bit_[ppn] = 1;
-    ++sb_meta_[os.sb].valid_count;
-    stream_flash_writes_[target]->inc();
+    if constexpr (journal) {
+      const std::uint64_t records = blob->size() / 2;
+      ++stats_.journal_writes;
+      ++journal_pages_used_;
+      journal_appends_ctr_->inc();
+      journal_records_ctr_->add(records);
+      obs_.trace().record(obs::TraceEventType::kTrimJournalAppend,
+                          virtual_clock_, ppn, records);
+    } else {
+      p2l_[ppn] = key;
+      valid_bit_[ppn] = 1;
+      ++sb_meta_[sb].valid_count;
+      stream_flash_writes_[target]->inc();
+    }
+    if constexpr (kind == PageKind::kTranslation) {
+      // New copy durable first, then supersede the old one (write-new-
+      // before-invalidate-old; recovery orders the two by program_seq).
+      const Ppn old = gtd_[key];
+      if (old != kInvalidPpn) {
+        PHFTL_CHECK(p2l_[old] == key);
+        drop_valid_page(old);
+      }
+      gtd_[key] = ppn;
+      // Every translation-page append funnels through here — write-back
+      // flush, GC migration, mount-time reconciliation — so retraining at
+      // this single point keeps the learned model exactly in sync with the
+      // flash blob the GTD now points at.
+      if (cfg_.learned_index) learned_.train(key, *blob);
+      ++stats_.trans_writes;
+      trans_writes_ctr_->inc();
+      obs_.trace().record(obs::TraceEventType::kTransProgram, virtual_clock_,
+                          ppn, key, target);
+    }
     obs_.trace().record(obs::TraceEventType::kFlashProgram, virtual_clock_,
                         ppn, 0, target);
 
-    // Close the superblock when its data region fills. finalize_superblock()
-    // may program meta pages into the tail first (PHFTL, Fig. 4).
-    if (flash_.write_pointer(os.sb) >= data_capacity(os.sb)) {
-      finalize_superblock(os.sb);
-      // Any tail pages finalize did not use are skipped (left unprogrammed);
-      // real firmware pads them. They are simply not mapped.
-      flash_.close_superblock(os.sb);
-      sb_meta_[os.sb].close_time = virtual_clock_;
-      victim_index_.insert(os.sb, sb_meta_[os.sb].valid_count);
-      obs_.trace().record(obs::TraceEventType::kSuperblockClose,
-                          virtual_clock_, os.sb, sb_meta_[os.sb].valid_count,
-                          target);
-      os.sb = OpenStream::kNoSb;
+    // Close the superblock when it fills: a data block at its data region,
+    // after finalize_superblock() has programmed any meta pages into the
+    // tail (PHFTL, Fig. 4; tail pages it leaves unused are skipped, as real
+    // firmware pads them); journal and translation blocks at the raw
+    // superblock boundary.
+    const std::uint64_t fill = kind == PageKind::kUser
+                                   ? data_capacity(sb)
+                                   : geom().pages_per_superblock();
+    if (flash_.write_pointer(sb) >= fill) {
+      if constexpr (kind == PageKind::kUser) finalize_superblock(sb);
+      close_superblock(sb, /*indexed=*/!journal);
+      open_[slot] = kNoSb;
     }
     return ppn;
   }
@@ -961,14 +917,7 @@ Ppn FtlBase::program_meta_page(std::uint64_t sb, std::uint64_t payload) {
     // authoritative for recovery (§III-C) — but the block is untrustworthy:
     // mark it for retirement. The caller keeps programming its remaining
     // meta pages; each tail slot is attempted exactly once either way.
-    ++stats_.program_failures;
-    program_fail_ctr_->inc();
-    if (!pending_retire_[sb]) {
-      pending_retire_[sb] = 1;
-      ++pending_retire_count_;
-    }
-    obs_.trace().record(obs::TraceEventType::kProgramFail, virtual_clock_, sb,
-                        0, sb_meta_[sb].stream);
+    note_program_failure(sb);
     return kInvalidPpn;
   }
   ++stats_.meta_writes;
@@ -980,6 +929,10 @@ Ppn FtlBase::program_meta_page(std::uint64_t sb, std::uint64_t payload) {
 }
 
 std::uint64_t FtlBase::rebuild_mapping_from_flash() {
+  return rebuild_from_oob(nullptr);
+}
+
+std::uint64_t FtlBase::rebuild_from_oob(MountScan* mount) {
   // Wipe the volatile structures.
   std::fill(l2p_.begin(), l2p_.end(), kInvalidPpn);
   std::fill(p2l_.begin(), p2l_.end(), kInvalidLpn);
@@ -989,11 +942,10 @@ std::uint64_t FtlBase::rebuild_mapping_from_flash() {
   std::fill(is_journal_sb_.begin(), is_journal_sb_.end(), 0);
   std::fill(tombstone_.begin(), tombstone_.end(), 0);
   journal_sbs_.clear();
-  journal_sb_ = OpenStream::kNoSb;
+  open_[open_slot(PageKind::kTrimJournal, 0)] = kNoSb;
   journal_pages_used_ = 0;
   live_tombstones_ = 0;
   mapped_count_ = 0;
-  std::fill(is_translation_sb_.begin(), is_translation_sb_.end(), 0);
   std::vector<std::uint64_t> trans_best_seq;
   if (cfg_.mapping_tier) {
     // Resident and buffered translation state is volatile; flash copies
@@ -1009,31 +961,42 @@ std::uint64_t FtlBase::rebuild_mapping_from_flash() {
     if (cfg_.learned_index) learned_.clear();
     trans_best_seq.assign(num_tps_, 0);
   }
+  if (mount != nullptr) std::fill(wear_.begin(), wear_.end(), 0);
 
-  // Pass 1: the newest copy (highest program sequence) of each LPN wins.
-  // Free blocks hold nothing; bad blocks are excluded because their
-  // contents are undefined (erase failure) or fully drained by GC before
-  // retirement — the newest copy of an LPN never lives there. Journal
-  // superblocks are detected here (any page with kind == kTrimJournal) so
-  // later passes and the replay step can treat them specially.
+  // Pass 1, the only pass over OOB areas: the newest copy (highest program
+  // sequence) of each LPN wins. Free blocks hold nothing; bad blocks are
+  // excluded because their contents are undefined (erase failure) or fully
+  // drained by GC before retirement — the newest copy of an LPN never lives
+  // there. Journal superblocks are detected here (any page with kind ==
+  // kTrimJournal) so later passes and the replay step can treat them
+  // specially.
   std::uint64_t oob_scans = 0;
   std::vector<std::uint64_t> best_seq(logical_pages_, 0);
   for (std::uint64_t sb = 0; sb < geom().num_superblocks(); ++sb) {
     if (flash_.state(sb) == SuperblockState::kFree ||
         flash_.state(sb) == SuperblockState::kBad)
       continue;
+    bool stamped = false;
+    std::uint64_t newest = 0;  // max(write_time) + 1 over its user pages
     const std::uint64_t limit = flash_.write_pointer(sb);
     for (std::uint64_t off = 0; off < limit; ++off) {
       const Ppn ppn = geom().make_ppn(sb, off);
       if (!flash_.is_programmed(ppn)) continue;
       ++oob_scans;
       const OobData& oob = flash_.read_oob(ppn);
+      if (mount != nullptr && !stamped) {
+        // Every programmed page in the block carries the same stamp (the
+        // block's erase count at program time, unchanged while open/closed).
+        wear_[sb] = oob.erase_count;
+        stamped = true;
+      }
       if (oob.kind == PageKind::kTrimJournal) {
         if (!is_journal_sb_[sb]) {
           is_journal_sb_[sb] = 1;
           journal_sbs_.push_back(sb);
         }
         ++journal_pages_used_;
+        if (mount != nullptr) mount->journal.emplace_back(ppn, oob.trim_seq);
         continue;
       }
       if (oob.kind == PageKind::kTranslation) {
@@ -1042,7 +1005,6 @@ std::uint64_t FtlBase::rebuild_mapping_from_flash() {
         // is a config error, caught here rather than silently dropped.
         PHFTL_CHECK_MSG(cfg_.mapping_tier,
                         "translation pages on flash but mapping_tier off");
-        is_translation_sb_[sb] = 1;
         PHFTL_CHECK(oob.tpn < num_tps_);
         if (oob.program_seq > trans_best_seq[oob.tpn]) {
           trans_best_seq[oob.tpn] = oob.program_seq;
@@ -1052,10 +1014,21 @@ std::uint64_t FtlBase::rebuild_mapping_from_flash() {
       }
       if (oob.lpn == kInvalidLpn) continue;  // meta page, not user data
       PHFTL_CHECK(oob.lpn < logical_pages_);
+      // Every user page (valid or stale — GC copies preserve the original
+      // write_time) was written strictly before the cut.
+      newest = std::max<std::uint64_t>(newest, oob.write_time + 1ULL);
       if (oob.program_seq > best_seq[oob.lpn]) {
+        // Only the winning copy keeps its GC count; a superseded winner
+        // drops back to 0 like every other invalid page.
+        if (l2p_[oob.lpn] != kInvalidPpn) gc_count_[l2p_[oob.lpn]] = 0;
         best_seq[oob.lpn] = oob.program_seq;
         l2p_[oob.lpn] = ppn;
+        gc_count_[ppn] = oob.gc_count;
       }
+    }
+    if (mount != nullptr) {
+      sb_meta_[sb].close_time = newest;  // newest page ~ when it closed
+      mount->vclock = std::max(mount->vclock, newest);
     }
   }
 
@@ -1065,7 +1038,6 @@ std::uint64_t FtlBase::rebuild_mapping_from_flash() {
     if (ppn == kInvalidPpn) continue;
     p2l_[ppn] = lpn;
     valid_bit_[ppn] = 1;
-    gc_count_[ppn] = flash_.read_oob(ppn).gc_count;
     ++sb_meta_[geom().superblock_of(ppn)].valid_count;
     ++mapped_count_;
   }
@@ -1087,69 +1059,47 @@ std::uint64_t FtlBase::rebuild_mapping_from_flash() {
   for (std::uint64_t sb = 0; sb < geom().num_superblocks(); ++sb)
     if (flash_.state(sb) == SuperblockState::kClosed && !is_journal_sb_[sb])
       victim_index_.insert(sb, sb_meta_[sb].valid_count);
+
+  if (mount != nullptr) {
+    mount->best_seq = std::move(best_seq);
+    wear_sum_ = 0;
+    wear_max_ = 0;
+    for (std::uint64_t sb = 0; sb < geom().num_superblocks(); ++sb) {
+      if (flash_.is_bad(sb)) continue;
+      wear_sum_ += wear_[sb];
+      wear_max_ = std::max(wear_max_, wear_[sb]);
+    }
+  }
   return oob_scans;
 }
 
-void FtlBase::rederive_wear_from_flash() {
-  std::fill(wear_.begin(), wear_.end(), 0);
-  for (std::uint64_t sb = 0; sb < geom().num_superblocks(); ++sb) {
-    const SuperblockState st = flash_.state(sb);
-    if (st == SuperblockState::kFree || st == SuperblockState::kBad) continue;
-    const std::uint64_t limit = flash_.write_pointer(sb);
-    for (std::uint64_t off = 0; off < limit; ++off) {
-      const Ppn ppn = geom().make_ppn(sb, off);
-      if (!flash_.is_programmed(ppn)) continue;
-      // Every programmed page in the block carries the same stamp (the
-      // block's erase count at program time, unchanged while open/closed).
-      wear_[sb] = flash_.read_oob(ppn).erase_count;
-      break;
-    }
-  }
-  wear_sum_ = 0;
-  wear_max_ = 0;
-  for (std::uint64_t sb = 0; sb < geom().num_superblocks(); ++sb) {
-    if (flash_.is_bad(sb)) continue;
-    wear_sum_ += wear_[sb];
-    wear_max_ = std::max(wear_max_, wear_[sb]);
-  }
-}
-
-void FtlBase::replay_trim_journal(RecoveryReport& rep) {
+void FtlBase::replay_trim_journal(const MountScan& scan, RecoveryReport& rep) {
   // Replay every record against the rebuilt mapping. A trimmed LPN is
   // tombstoned iff its newest flash copy predates the trim (program_seq <=
   // the record page's cutoff); a rewrite after the trim has a higher
   // sequence and survives. The check makes replay order-independent and
   // idempotent, so duplicate records (compaction overlap) are harmless.
-  for (const std::uint64_t sb : journal_sbs_) {
-    const std::uint64_t limit = flash_.write_pointer(sb);
-    for (std::uint64_t off = 0; off < limit; ++off) {
-      const Ppn ppn = geom().make_ppn(sb, off);
-      if (!flash_.is_programmed(ppn)) continue;
-      const OobData& oob = flash_.read_oob(ppn);
-      if (oob.kind != PageKind::kTrimJournal) continue;
-      const std::uint64_t cutoff = oob.trim_seq;
-      const std::vector<std::uint64_t>& blob = flash_.read_blob(ppn);
-      for (std::size_t i = 0; i + 1 < blob.size(); i += 2) {
-        const Lpn start = blob[i];
-        const std::uint64_t len = blob[i + 1];
-        // Overflow-safe: journal records are written by trim_range, but a
-        // corrupt blob must not wrap the sum past the check.
-        PHFTL_CHECK(start < logical_pages_ && len <= logical_pages_ - start);
-        ++rep.trim_records_replayed;
-        for (std::uint64_t k = 0; k < len; ++k) {
-          const Lpn lpn = start + k;
-          const Ppn cur = l2p_[lpn];
-          if (cur != kInvalidPpn &&
-              flash_.read_oob(cur).program_seq > cutoff)
-            continue;  // rewritten after this trim — mapping stands
-          if (cur != kInvalidPpn) {
-            raw_unmap(lpn);  // stale copy resurrected by the OOB rebuild
-            ++rep.trim_tombstones;
-          }
-          if (!tombstone_[lpn]) {
-            tombstone_[lpn] = 1;
-            ++live_tombstones_;
-          }
+  for (const auto& [ppn, cutoff] : scan.journal) {
+    const std::vector<std::uint64_t>& blob = flash_.read_blob(ppn);
+    for (std::size_t i = 0; i + 1 < blob.size(); i += 2) {
+      const Lpn start = blob[i];
+      const std::uint64_t len = blob[i + 1];
+      // Overflow-safe: journal records are written by trim_range, but a
+      // corrupt blob must not wrap the sum past the check.
+      PHFTL_CHECK(start < logical_pages_ && len <= logical_pages_ - start);
+      ++rep.trim_records_replayed;
+      for (std::uint64_t k = 0; k < len; ++k) {
+        const Lpn lpn = start + k;
+        if (l2p_[lpn] != kInvalidPpn) {
+          // The mapping is still the scan's winner, so best_seq is its
+          // program_seq.
+          if (scan.best_seq[lpn] > cutoff) continue;  // rewritten after trim
+          raw_unmap(lpn);  // stale copy resurrected by the OOB rebuild
+          ++rep.trim_tombstones;
+        }
+        if (!tombstone_[lpn]) {
+          tombstone_[lpn] = 1;
+          ++live_tombstones_;
         }
       }
     }
@@ -1172,11 +1122,9 @@ RecoveryReport FtlBase::recover() {
     }
   }
 
-  // Step 2: everything RAM-only is gone. (Journal extent, tombstone set,
+  // Everything RAM-only is gone. (Journal extent, tombstone set,
   // and mapped count are re-derived from flash by the rebuild + replay.)
-  for (auto& os : open_) os.sb = OpenStream::kNoSb;
-  if (cfg_.mapping_tier)
-    std::fill(trans_open_.begin(), trans_open_.end(), OpenStream::kNoSb);
+  std::fill(open_.begin(), open_.end(), kNoSb);
   in_wb_flush_ = false;
   std::fill(pending_retire_.begin(), pending_retire_.end(), 0);
   pending_retire_count_ = 0;
@@ -1195,48 +1143,30 @@ RecoveryReport FtlBase::recover() {
   gc_round_moved_ = 0;
   wl_round_ = false;  // a forgotten round forgets its leveling flag too
 
-  // Step 3: base mapping / validity / victim-index rebuild from OOB. This
-  // also detects the journal superblocks (pages with kind == kTrimJournal).
-  rep.oob_scans = rebuild_mapping_from_flash();
+  // Step 2: one OOB pass rebuilds mapping / validity / victim index and
+  // detects the journal superblocks (pages with kind == kTrimJournal). The
+  // same pass re-derives
+  //   * the wear table from the per-page erase-count stamps — documented
+  //     *lower bounds* (docs/ENDURANCE.md): exact for open/closed blocks
+  //     (their stamps are the block's current count), 0 for free/bad
+  //     blocks whose history left no readable pages; the P/E budget itself
+  //     is enforced physically in the flash array and loses nothing;
+  //   * each superblock's close_time (its newest user page) and the
+  //     virtual clock: max(write_time) + 1 is a lower bound on the
+  //     pre-crash clock; lifetimes measured after resume are compressed by
+  //     at most the gap (RECOVERY.md).
+  MountScan scan;
+  rep.oob_scans = rebuild_from_oob(&scan);
 
-  // Step 3.25: re-derive the wear table from the per-page OOB erase-count
-  // stamps — documented *lower bounds* (docs/ENDURANCE.md): exact for
-  // open/closed blocks (their stamps are the block's current count), 0 for
-  // free/bad blocks whose history left no readable pages. The P/E budget
-  // itself is enforced physically in the flash array and loses nothing.
-  rederive_wear_from_flash();
-
-  // Step 3.5: replay the trim journal *after* the rebuild — pass 1 maps
+  // Step 3: replay the trim journal *after* the rebuild — pass 1 maps
   // every LPN to its newest flash copy, including copies the host had
   // already discarded; the replay tombstones those again so trimmed pages
   // stay trimmed across the cut.
-  replay_trim_journal(rep);
+  replay_trim_journal(scan, rep);
+  virtual_clock_ = scan.vclock;
+  rep.recovered_vclock = scan.vclock;
 
-  // Step 4: re-derive the virtual clock and per-superblock close times.
-  // Every programmed user page (valid or stale — GC copies preserve the
-  // original write_time) was written strictly before the cut, so
-  // max(write_time) + 1 is a lower bound on the pre-crash clock; lifetimes
-  // measured after resume are compressed by at most the gap (RECOVERY.md).
-  std::uint64_t vclock = 0;
-  for (std::uint64_t sb = 0; sb < geom().num_superblocks(); ++sb) {
-    const SuperblockState st = flash_.state(sb);
-    if (st == SuperblockState::kFree || st == SuperblockState::kBad) continue;
-    std::uint64_t sb_newest = 0;
-    const std::uint64_t limit = flash_.write_pointer(sb);
-    for (std::uint64_t off = 0; off < limit; ++off) {
-      const Ppn ppn = geom().make_ppn(sb, off);
-      if (!flash_.is_programmed(ppn)) continue;
-      const OobData& oob = flash_.read_oob(ppn);
-      if (oob.lpn == kInvalidLpn) continue;  // meta pages carry no timestamp
-      sb_newest = std::max<std::uint64_t>(sb_newest, oob.write_time + 1ULL);
-    }
-    sb_meta_[sb].close_time = sb_newest;  // newest page ~ when it closed
-    vclock = std::max(vclock, sb_newest);
-  }
-  virtual_clock_ = vclock;
-  rep.recovered_vclock = vclock;
-
-  // Step 5: rebuild the free pool (bad blocks stay out of circulation).
+  // Step 4: rebuild the free pool (bad blocks stay out of circulation).
   free_pool_.clear();
   for (std::uint64_t sb = 0; sb < geom().num_superblocks(); ++sb)
     if (flash_.state(sb) == SuperblockState::kFree) free_pool_.push_back(sb);
@@ -1245,10 +1175,10 @@ RecoveryReport FtlBase::recover() {
     if (l2p_[lpn] != kInvalidPpn) ++rep.mapped_lpns;
   PHFTL_CHECK(mapped_count_ == rep.mapped_lpns);
 
-  // Step 6: scheme-side re-derivation (meta cache, trainer, stream state).
+  // Step 5: scheme-side re-derivation (meta cache, trainer, stream state).
   on_recovery(rep);
 
-  // Step 6.5: the OOB rebuild is the mapping authority; on-flash
+  // Step 6: the OOB rebuild is the mapping authority; on-flash
   // translation pages may trail it (dirty CMT entries and buffered
   // write-backs died with RAM, and the trim replay unmapped LPNs some
   // flash copies still carry). Rewrite exactly the diverged pages so the
@@ -1286,8 +1216,8 @@ void FtlBase::maybe_gc() {
   // Under kStopTheWorld the floor *is* the trigger, reproducing the classic
   // collect-until-satisfied loop; under kTimeSliced it is the lower
   // gc_urgent_count_, guaranteeing progress even when every reclaim stalls
-  // on program failures (and that the empty-pool synchronous reclaim in
-  // append_journal_page still works).
+  // on program failures (and that append()'s empty-pool synchronous reclaim
+  // for journal and translation pages still works).
   const std::uint64_t floor = cfg_.gc_mode == GcMode::kStopTheWorld
                                   ? gc_trigger_count_
                                   : gc_urgent_count_;
@@ -1311,12 +1241,7 @@ void FtlBase::maybe_gc() {
     return;
   }
   if (gc_victim_ == kNoVictim && !gc_begin_round()) return;
-  if (!gc_step(std::max<std::uint64_t>(cfg_.gc_step_pages, 1))) {
-    ++stats_.gc_preemptions;
-    gc_preempt_ctr_->inc();
-    obs_.trace().record(obs::TraceEventType::kGcPreempt, virtual_clock_,
-                        gc_victim_, sb_meta_[gc_victim_].valid_count);
-  }
+  advance_round(std::max<std::uint64_t>(cfg_.gc_step_pages, 1));
 }
 
 void FtlBase::maybe_wear_level() {
@@ -1439,14 +1364,8 @@ bool FtlBase::gc_begin_round() {
   // below what the migration needs, abort the round — the admission path
   // then surfaces ENOSPC to the host instead of GC aborting mid-append.
   // Healthy drives always pass (the pool floor alone covers a victim).
-  std::uint64_t room = 0;
+  std::uint64_t room = open_data_room();
   for (const std::uint64_t sb : free_pool_) room += data_capacity(sb);
-  for (const auto& os : open_) {
-    if (os.sb == OpenStream::kNoSb) continue;
-    const std::uint64_t wp = flash_.write_pointer(os.sb);
-    const std::uint64_t cap = data_capacity(os.sb);
-    room += cap > wp ? cap - wp : 0;
-  }
   if (room < sb_meta_[victim].valid_count) {
     gc_aborted_ctr_->inc();
     return false;
@@ -1486,9 +1405,8 @@ bool FtlBase::gc_step(std::uint64_t budget) {
     // which is why time-sliced WA is bounded by stop-the-world's, not
     // identical to it (docs/QOS.md).
     if (!valid_bit_[ppn]) continue;
-    // Translation pages are first-class GC citizens (Dayan & Bonnet): the
-    // per-page kind check (not is_translation_sb_) keeps the round correct
-    // even when pool-pressure borrowing mixed page kinds into one block.
+    // Translation pages are first-class GC citizens (Dayan & Bonnet),
+    // recognized per page by their OOB kind.
     if (cfg_.mapping_tier &&
         flash_.read_oob(ppn).kind == PageKind::kTranslation) {
       gc_migrate_translation_page(victim, ppn);
@@ -1513,12 +1431,9 @@ bool FtlBase::gc_step(std::uint64_t budget) {
     PHFTL_CHECK(stream < num_streams_);
 
     // Invalidate old location, then append to the GC stream.
-    valid_bit_[ppn] = 0;
-    p2l_[ppn] = kInvalidLpn;
-    PHFTL_CHECK(sb_meta_[victim].valid_count > 0);
-    --sb_meta_[victim].valid_count;
-
-    const Ppn new_ppn = append(stream, lpn, payload, oob);
+    drop_valid_page(ppn, victim);
+    const Ppn new_ppn =
+        append<PageKind::kUser>(stream, lpn, payload, oob, nullptr);
     l2p_[lpn] = new_ppn;
     gc_count_[new_ppn] = new_count;
     // Patch the owning translation page. CMT residency batches the patches
@@ -1624,22 +1539,23 @@ bool FtlBase::wb_take(std::uint64_t tpn, std::vector<std::uint64_t>& out) {
 Ppn FtlBase::map_lookup(Lpn lpn, bool host_read) {
   const std::uint64_t tpn = lpn / tp_entries_;
   const std::uint64_t idx = lpn % tp_entries_;
-  // Empty-GTD short circuit: a segment with no flash copy, no residency,
-  // and no buffered write-back has never mapped anything — answer from the
-  // GTD alone, without polluting the CMT or charging a fetch.
-  if (gtd_[tpn] == kInvalidPpn &&
+  const bool gtd_empty = gtd_[tpn] == kInvalidPpn;
+  // Both shortcuts below need the owning translation page's flash copy (or
+  // its absence) to be the mapping truth: non-resident, not buffered, not
+  // mid-flush (the tier invariant in docs/MAPPING.md). Evaluated once, and
+  // only when a shortcut could apply.
+  if ((gtd_empty || cfg_.learned_index) &&
       cmt_.node_of(tpn) == core::FlatMetaCache::kNoNode &&
       tpn != wb_inflight_tpn_ && !wb_contains(tpn)) {
-    PHFTL_CHECK(l2p_[lpn] == kInvalidPpn);
-    return kInvalidPpn;
-  }
-  // Learned fast path: only when the owning TP's flash blob is the truth —
-  // non-resident, unbuffered, not mid-flush, GTD-valid (the tier invariant
-  // in docs/MAPPING.md). A verified prediction serves the lookup with zero
-  // CMT traffic; kInvalidPpn means uncovered or mispredicted — fall back.
-  if (cfg_.learned_index && gtd_[tpn] != kInvalidPpn &&
-      cmt_.node_of(tpn) == core::FlatMetaCache::kNoNode &&
-      tpn != wb_inflight_tpn_ && !wb_contains(tpn)) {
+    // Empty-GTD short circuit: the segment has never mapped anything —
+    // answer from the GTD alone, without polluting the CMT or charging a
+    // fetch.
+    if (gtd_empty) {
+      PHFTL_CHECK(l2p_[lpn] == kInvalidPpn);
+      return kInvalidPpn;
+    }
+    // Learned fast path: a verified prediction serves the lookup with zero
+    // CMT traffic; kInvalidPpn means uncovered or mispredicted — fall back.
     const Ppn predicted = learned_lookup(lpn, host_read);
     if (predicted != kInvalidPpn) return predicted;
   }
@@ -1837,107 +1753,16 @@ Ppn FtlBase::append_translation_page(std::uint64_t tpn,
                                      bool gc_migration) {
   const std::uint32_t stream = classify_translation_write(tpn, gc_migration);
   PHFTL_CHECK(stream < num_streams_);
-  for (std::uint32_t attempt = 0;; ++attempt) {
-    PHFTL_CHECK_MSG(attempt < 64, "translation program retry limit exceeded");
-    std::uint32_t target = stream;
-    if (trans_open_[target] == OpenStream::kNoSb && free_pool_.empty()) {
-      if (!in_gc_ && !in_compaction_) maybe_gc();
-      if (free_pool_.empty()) {
-        // Mid-GC (or still empty after reclaim): borrow any open
-        // translation superblock rather than deadlock; separation quality
-        // degrades for those pages only, mirroring append()'s fallback.
-        bool found = false;
-        for (std::uint32_t s = 0; s < num_streams_; ++s) {
-          if (trans_open_[s] != OpenStream::kNoSb) {
-            target = s;
-            found = true;
-            break;
-          }
-        }
-        PHFTL_CHECK_MSG(found,
-                        "capacity exhausted: no open translation superblock");
-        ++stats_.stream_borrows;
-        stream_borrows_ctr_->inc();
-      }
-    }
-    if (trans_open_[target] == OpenStream::kNoSb) {
-      trans_open_[target] = allocate_superblock(target);
-      is_translation_sb_[trans_open_[target]] = 1;
-      obs_.trace().record(obs::TraceEventType::kSuperblockOpen, virtual_clock_,
-                          trans_open_[target], 0, target);
-    }
-    const std::uint64_t sb = trans_open_[target];
-    OobData oob;  // translation pages carry no LPN; keyed by tpn
-    oob.kind = PageKind::kTranslation;
-    oob.tpn = tpn;
-    oob.write_time = virtual_clock_;
-    const Ppn ppn = flash_.program_blob(sb, oob, blob);
-    if (ppn == kInvalidPpn) {
-      ++stats_.program_failures;
-      program_fail_ctr_->inc();
-      obs_.trace().record(obs::TraceEventType::kProgramFail, virtual_clock_,
-                          sb, 0, target);
-      flash_.close_superblock(sb);
-      sb_meta_[sb].close_time = virtual_clock_;
-      if (!pending_retire_[sb]) {
-        pending_retire_[sb] = 1;
-        ++pending_retire_count_;
-      }
-      // Unlike journal blocks, translation blocks are ordinary GC
-      // citizens: index the failing block so GC drains and retires it.
-      victim_index_.insert(sb, sb_meta_[sb].valid_count);
-      obs_.trace().record(obs::TraceEventType::kSuperblockClose,
-                          virtual_clock_, sb, sb_meta_[sb].valid_count,
-                          target);
-      trans_open_[target] = OpenStream::kNoSb;
-      continue;
-    }
-    // New copy durable first, then supersede the old one (write-new-
-    // before-invalidate-old; recovery orders the two by program_seq).
-    p2l_[ppn] = tpn;
-    valid_bit_[ppn] = 1;
-    ++sb_meta_[sb].valid_count;
-    const Ppn old = gtd_[tpn];
-    if (old != kInvalidPpn) {
-      PHFTL_CHECK(valid_bit_[old] && p2l_[old] == tpn);
-      valid_bit_[old] = 0;
-      p2l_[old] = kInvalidLpn;
-      const std::uint64_t old_sb = geom().superblock_of(old);
-      PHFTL_CHECK(sb_meta_[old_sb].valid_count > 0);
-      --sb_meta_[old_sb].valid_count;
-      if (victim_index_.contains(old_sb))
-        victim_index_.update(old_sb, sb_meta_[old_sb].valid_count);
-    }
-    gtd_[tpn] = ppn;
-    // Every translation-page append funnels through here — write-back
-    // flush, GC migration, mount-time reconciliation — so retraining at
-    // this single point keeps the learned model exactly in sync with the
-    // flash blob the GTD now points at.
-    if (cfg_.learned_index) learned_.train(tpn, blob);
-    ++stats_.trans_writes;
-    trans_writes_ctr_->inc();
-    if (gc_migration) {
-      ++stats_.trans_gc_writes;
-      trans_gc_writes_ctr_->inc();
-    }
-    stream_flash_writes_[target]->inc();
-    obs_.trace().record(obs::TraceEventType::kTransProgram, virtual_clock_,
-                        ppn, tpn, target);
-    obs_.trace().record(obs::TraceEventType::kFlashProgram, virtual_clock_,
-                        ppn, 0, target);
-    // Translation blocks have no meta-page tail: close at the raw
-    // superblock boundary and enter the victim index like any data block.
-    if (flash_.write_pointer(sb) >= geom().pages_per_superblock()) {
-      flash_.close_superblock(sb);
-      sb_meta_[sb].close_time = virtual_clock_;
-      victim_index_.insert(sb, sb_meta_[sb].valid_count);
-      obs_.trace().record(obs::TraceEventType::kSuperblockClose,
-                          virtual_clock_, sb, sb_meta_[sb].valid_count,
-                          target);
-      trans_open_[target] = OpenStream::kNoSb;
-    }
-    return ppn;
+  OobData oob;  // translation pages carry no LPN; keyed by tpn
+  oob.kind = PageKind::kTranslation;
+  oob.tpn = tpn;
+  oob.write_time = virtual_clock_;
+  const Ppn ppn = append<PageKind::kTranslation>(stream, tpn, 0, oob, &blob);
+  if (gc_migration) {
+    ++stats_.trans_gc_writes;
+    trans_gc_writes_ctr_->inc();
   }
+  return ppn;
 }
 
 void FtlBase::gc_migrate_translation_page(std::uint64_t victim, Ppn ppn) {
@@ -1996,14 +1821,8 @@ void FtlBase::reconcile_translation_pages(RecoveryReport& rep) {
       // Fully unmapped segment: drop the stale flash copy (restoring the
       // empty-GTD invariant) instead of writing an all-invalid page.
       if (cur != kInvalidPpn) {
-        PHFTL_CHECK(valid_bit_[cur] && p2l_[cur] == tpn);
-        valid_bit_[cur] = 0;
-        p2l_[cur] = kInvalidLpn;
-        const std::uint64_t sb = geom().superblock_of(cur);
-        PHFTL_CHECK(sb_meta_[sb].valid_count > 0);
-        --sb_meta_[sb].valid_count;
-        if (victim_index_.contains(sb))
-          victim_index_.update(sb, sb_meta_[sb].valid_count);
+        PHFTL_CHECK(p2l_[cur] == tpn);
+        drop_valid_page(cur);
         gtd_[tpn] = kInvalidPpn;
       }
       continue;

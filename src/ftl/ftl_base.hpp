@@ -206,8 +206,6 @@ class FtlBase {
   bool is_journal_sb(std::uint64_t sb) const {
     return is_journal_sb_[sb] != 0;
   }
-  /// Trim-journal footprint (record pages live in the journal stream).
-  std::uint64_t trim_journal_pages() const { return journal_pages_used_; }
   std::uint64_t trim_journal_superblocks() const {
     return journal_sbs_.size();
   }
@@ -225,13 +223,6 @@ class FtlBase {
   std::uint64_t cmt_resident() const { return cmt_.size(); }
   /// Evicted-dirty translation pages buffered for write-back.
   std::uint64_t wb_pending() const { return wb_buffer_.size(); }
-  /// True if `sb` currently holds translation pages. Unlike journal
-  /// superblocks these ARE in the victim index: GC treats them as
-  /// first-class citizens, migrating valid translation pages with GTD
-  /// updates (docs/MAPPING.md "Translation GC").
-  bool is_translation_sb(std::uint64_t sb) const {
-    return is_translation_sb_[sb] != 0;
-  }
   /// Mapping-tier RAM footprint in bytes: GTD + CMT entry slab + dirty
   /// flags + write-back buffer capacity. The quantity BENCH_mapping.json
   /// compares against the baseline logical_pages() * 8 in-RAM table
@@ -267,8 +258,6 @@ class FtlBase {
   /// wear-leveling trigger quantity. Leveling fires when this exceeds
   /// FtlConfig::wear_level_threshold.
   double wear_spread() const;
-  /// True while the in-flight GC round is a wear-leveling round.
-  bool wear_level_inflight() const { return wl_round_; }
 
   /// Test hook: jump the virtual clock forward (e.g. near 2^32 to exercise
   /// timestamp-width regressions). Must not move the clock backwards.
@@ -306,17 +295,22 @@ class FtlBase {
   /// and reconstructs everything re-derivable from flash:
   ///   1. superblocks left open by the cut are closed (their unwritten tail
   ///      pages stay unused; no meta pages are programmed),
-  ///   2. L2P / validity / per-superblock accounting / victim index are
-  ///      rebuilt from OOB (rebuild_mapping_from_flash),
-  ///   3. the virtual clock restarts at max(write_time of any user page)+1,
-  ///      a lower bound on the pre-crash clock (documented in RECOVERY.md),
-  ///   4. the trim journal is replayed *after* the OOB rebuild: any LPN
-  ///      whose newest flash copy predates its journaled trim is unmapped
-  ///      again (trimmed pages stay trimmed — docs/RECOVERY.md),
-  ///   5. close_time is re-derived per closed superblock (newest page in
-  ///      it), and the free pool is rebuilt from free superblocks,
-  ///   6. the scheme's on_recovery() hook re-derives or resets policy state
+  ///   2. one pass over every programmed page's OOB rebuilds L2P /
+  ///      validity / per-superblock accounting / victim index (as
+  ///      rebuild_mapping_from_flash does) and, in the same pass, the wear
+  ///      table (erase-count stamps), each superblock's close_time (its
+  ///      newest user page) and the virtual clock, which restarts at
+  ///      max(write_time of any user page)+1 — a lower bound on the
+  ///      pre-crash clock (documented in RECOVERY.md),
+  ///   3. the trim-journal record pages that pass found are replayed
+  ///      *after* the rebuild: any LPN whose newest flash copy predates its
+  ///      journaled trim is unmapped again (trimmed pages stay trimmed —
+  ///      docs/RECOVERY.md),
+  ///   4. the free pool is rebuilt from free superblocks,
+  ///   5. the scheme's on_recovery() hook re-derives or resets policy state
   ///      (PHFTL: meta cache cold start, trainer/threshold safe defaults),
+  ///   6. with the mapping tier on, diverged translation pages are
+  ///      rewritten (docs/MAPPING.md "Crash semantics"),
   ///   7. the journal is compacted so it occupies at most one superblock.
   /// Cumulative FtlStats are process-lifetime diagnostics and survive.
   RecoveryReport recover();
@@ -430,8 +424,6 @@ class FtlBase {
 
   // --- Services for subclasses ---
   const Geometry& geom() const { return cfg_.geom; }
-  FlashArray& flash_mut() { return flash_; }
-  FtlStats& stats_mut() { return stats_; }
 
   /// Program one meta page into the open superblock tail (counts as a meta
   /// write). Only legal inside finalize_superblock().
@@ -449,14 +441,67 @@ class FtlBase {
     std::uint64_t close_time = 0;  ///< virtual clock when closed
     std::uint32_t stream = 0;
   };
-  struct OpenStream {
-    std::uint64_t sb = kNoSb;
-    static constexpr std::uint64_t kNoSb = ~0ULL;
+  /// What recover() takes from the OOB pass beyond the rebuilt mapping.
+  struct MountScan {
+    /// Per LPN: program_seq of the copy that won the rebuild.
+    std::vector<std::uint64_t> best_seq;
+    /// Trim-journal record pages with their trim_seq cutoffs, in scan order.
+    std::vector<std::pair<Ppn, std::uint64_t>> journal;
+    /// max(write_time) + 1 over every programmed user page.
+    std::uint64_t vclock = 0;
   };
+  /// "No open superblock" marker in open_.
+  static constexpr std::uint64_t kNoSb = ~0ULL;
 
-  /// Append one page to `stream`, handling superblock open/finalize/close.
-  Ppn append(std::uint32_t stream, Lpn lpn, std::uint64_t payload,
-             const OobData& oob);
+  /// The one program-with-retry write path for data (PageKind::kUser),
+  /// trim-journal and translation pages. Programs `oob` plus `payload` (or
+  /// `*blob` as the data area) into the open superblock of `kind`'s slot
+  /// for `stream`, opening one as needed. A program failure closes the
+  /// block, marks it pending-retire, and the page retries on a fresh
+  /// superblock. The kind, a template argument so that the data path
+  /// carries no per-page kind branches, picks only
+  ///   * the fill bound: data_capacity() for data, the raw superblock
+  ///     otherwise; finalize_superblock() runs for data only,
+  ///   * whether closed or failed blocks enter the victim index: not
+  ///     journal blocks, which only compaction reclaims,
+  ///   * the empty-pool policy: journal and translation pages first run
+  ///     maybe_gc(); data and translation pages then borrow another
+  ///     stream's open block of their kind.
+  /// `key` is the P2L entry of a data (LPN) or translation (TPN) page.
+  /// Journal pages get their trim_seq cutoff stamped into `oob` per attempt.
+  template <PageKind kind>
+  Ppn append(std::uint32_t stream, std::uint64_t key, std::uint64_t payload,
+             OobData& oob, const std::vector<std::uint64_t>* blob);
+  /// open_ index of `kind`'s slot for `stream`.
+  std::size_t open_slot(PageKind kind, std::uint32_t stream) const {
+    if (kind == PageKind::kUser) return stream;
+    if (kind == PageKind::kTranslation) return num_streams_ + stream;
+    return 2 * std::size_t{num_streams_};  // the trim journal's one slot
+  }
+  /// Close open superblock `sb` at the current clock; `indexed` also enters
+  /// it into the victim index.
+  void close_superblock(std::uint64_t sb, bool indexed);
+  /// Program-failure bookkeeping for `sb` (counters, trace) and the one
+  /// place a block is marked pending-retire.
+  void note_program_failure(std::uint64_t sb);
+  /// Clear a valid page's validity bit and P2L entry and decrement its
+  /// superblock's valid count, re-bucketing the block if it is indexed.
+  /// Inline: host writes and GC relocations call it once per page.
+  void drop_valid_page(Ppn ppn) {
+    drop_valid_page(ppn, geom().superblock_of(ppn));
+  }
+  /// The same, for a caller that already knows ppn's superblock `sb`.
+  void drop_valid_page(Ppn ppn, std::uint64_t sb) {
+    PHFTL_CHECK_MSG(valid_bit_[ppn], "mapping points at invalid page");
+    valid_bit_[ppn] = 0;
+    p2l_[ppn] = kInvalidLpn;
+    PHFTL_CHECK(sb_meta_[sb].valid_count > 0);
+    --sb_meta_[sb].valid_count;
+    if (victim_index_.contains(sb))  // closed blocks migrate buckets
+      victim_index_.update(sb, sb_meta_[sb].valid_count);
+  }
+  /// Data pages the open data superblocks can still take.
+  std::uint64_t open_data_room() const;
   void invalidate(Lpn lpn);
   std::uint64_t allocate_superblock(std::uint32_t stream);
   void maybe_gc();
@@ -501,9 +546,13 @@ class FtlBase {
   /// pending-retire, otherwise erase it — handling erase failures and
   /// P/E-budget exhaustion.
   void dispose_drained_superblock(std::uint64_t sb);
-  /// Mount-time wear re-derivation from the per-page OOB erase-count
-  /// stamps (lower-bound contract — docs/ENDURANCE.md, docs/RECOVERY.md).
-  void rederive_wear_from_flash();
+  /// The OOB rebuild behind rebuild_mapping_from_flash(): one pass over
+  /// every programmed page. With `mount` set, the same pass re-derives the
+  /// wear table from the erase-count stamps (lower-bound contract —
+  /// docs/ENDURANCE.md) and each superblock's close_time, and fills
+  /// `*mount` for the journal replay and the clock. Returns the number of
+  /// OOB areas inspected.
+  std::uint64_t rebuild_from_oob(MountScan* mount);
 
   /// Shared body of write_page / try_write_page. `checked` selects whether
   /// the capacity watermark rejects (kEnospc) or aborts.
@@ -512,16 +561,15 @@ class FtlBase {
   /// and journal the effective runs. Returns the number of effective trims.
   std::uint64_t trim_range(Lpn start, std::uint64_t n);
   /// Flush (start,len) range pairs to the journal, chunked to page-sized
-  /// records; may trigger compaction afterwards.
+  /// records; outside compaction, may trigger one afterwards.
   void append_journal_records(const std::vector<std::uint64_t>& pairs);
-  /// Program one journal record page (retrying across program failures).
-  void append_journal_page(std::vector<std::uint64_t> chunk);
   /// Rewrite the live tombstone set densely into a fresh journal
   /// superblock, then reclaim the old journal superblocks.
   void compact_trim_journal();
-  /// Recovery step: replay journal records against the rebuilt mapping,
-  /// unmapping any LPN whose newest flash copy predates its trim.
-  void replay_trim_journal(RecoveryReport& rep);
+  /// Recovery step: replay the journal record pages the mount scan found
+  /// against the rebuilt mapping, unmapping any LPN whose newest flash copy
+  /// predates its trim.
+  void replay_trim_journal(const MountScan& scan, RecoveryReport& rep);
   /// Unmap without policy hooks (recovery replay / trim): clears validity,
   /// P2L, L2P, and fixes the victim index if the superblock is closed.
   void raw_unmap(Lpn lpn);
@@ -543,9 +591,8 @@ class FtlBase {
   /// about to patch); every other fetched slot is integrity-checked.
   std::uint32_t cmt_fetch(std::uint64_t tpn, std::uint64_t exempt_idx,
                           bool host_read);
-  /// Program one translation page (GTD update + old-copy invalidation),
-  /// retrying across program failures like append_journal_page. Returns
-  /// the new flash copy's PPN.
+  /// Program one translation page through append() (GTD update + old-copy
+  /// invalidation). Returns the new flash copy's PPN.
   Ppn append_translation_page(std::uint64_t tpn,
                               std::vector<std::uint64_t> blob,
                               bool gc_migration);
@@ -594,7 +641,11 @@ class FtlBase {
   std::vector<std::uint8_t> valid_bit_;
   std::vector<std::uint8_t> gc_count_;
   std::vector<SbMeta> sb_meta_;
-  std::vector<OpenStream> open_;
+  /// Open superblock per append slot (kNoSb when none): data streams at
+  /// [0, num_streams_), translation streams at [num_streams_,
+  /// 2*num_streams_), the trim journal at 2*num_streams_. Page kinds never
+  /// share a superblock.
+  std::vector<std::uint64_t> open_;
   /// RAM-only flag per superblock: a program failure happened there and the
   /// block must be retired (not erased) once GC drains it. Wiped by
   /// recover() — a real FTL would journal its bad-block table; here the
@@ -641,8 +692,6 @@ class FtlBase {
   bool wl_round_ = false;
 
   // --- trim journal + capacity accounting ---
-  /// Open journal superblock accepting record pages (kNoSb when none).
-  std::uint64_t journal_sb_ = OpenStream::kNoSb;
   /// All superblocks holding journal records (open + closed), oldest first.
   std::vector<std::uint64_t> journal_sbs_;
   /// Per-superblock flag mirroring journal_sbs_ membership (O(1) queries).
@@ -687,12 +736,6 @@ class FtlBase {
   /// GTD keeps pointing at the superseded flash copy until the flush.
   std::vector<std::pair<std::uint64_t, std::vector<std::uint64_t>>>
       wb_buffer_;
-  /// Open translation superblock per stream label (parallel to open_, but
-  /// translation pages never share a superblock with user data).
-  std::vector<std::uint64_t> trans_open_;
-  /// Per-superblock flag: holds translation pages (victim-indexed, unlike
-  /// journal superblocks).
-  std::vector<std::uint8_t> is_translation_sb_;
   /// Reentrancy guard: a flush in progress must not trigger another.
   bool in_wb_flush_ = false;
   /// The one write-back currently being programmed by flush_wb_buffer().

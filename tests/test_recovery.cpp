@@ -444,41 +444,136 @@ FtlConfig fault_config() {
   return cfg;
 }
 
-TEST_P(RecoveryTest, ProgramFailuresRetireBlocksWithoutDataLoss) {
-  FtlConfig cfg = fault_config();
-  FaultInjector::Config fc;
-  // Three scheduled mid-run failures keep retirement deterministic and the
-  // capacity loss bounded (3 of 64 superblocks).
-  FaultInjector injector(fc);
-  injector.schedule_program_failure(500);
-  injector.schedule_program_failure(2500);
-  injector.schedule_program_failure(6000);
-  cfg.fault_injector = &injector;
-  auto ftl = make_crash_ftl(GetParam(), cfg);
-
-  const std::uint64_t logical = ftl->logical_pages();
-  std::vector<std::uint8_t> acked(logical, 0);
+/// The program-failure workload: three drive writes of uniform random
+/// pages and, with `trims`, a one-page trim before 5 % of them. Returns the
+/// host's view: `acked` pages must read back, `trimmed` ones (not since
+/// rewritten) must stay unmapped. `after_op` runs after every write.
+struct HostView {
+  std::vector<std::uint8_t> acked;
+  std::vector<std::uint8_t> trimmed;
+};
+template <typename AfterOp>
+HostView run_fault_workload(FtlBase& ftl, bool trims, AfterOp&& after_op) {
+  const std::uint64_t logical = ftl.logical_pages();
+  HostView host{std::vector<std::uint8_t>(logical, 0),
+                std::vector<std::uint8_t>(logical, 0)};
   WriteContext ctx;
   Xoshiro256 rng(77);
   for (std::uint64_t w = 0; w < logical * 3; ++w) {
+    if (trims && rng.next_bool(0.05)) {
+      const Lpn t = rng.next_below(logical);
+      if (ftl.trim_page(t)) host.trimmed[t] = 1;
+      host.acked[t] = 0;
+    }
     const Lpn lpn = rng.next_below(logical);
-    ftl->write_page(lpn, ctx);
-    acked[lpn] = 1;
+    ftl.write_page(lpn, ctx);
+    host.acked[lpn] = 1;
+    host.trimmed[lpn] = 0;
+    after_op();
+  }
+  return host;
+}
+
+/// Acknowledged pages read back, trimmed ones stay unmapped, and (tier on)
+/// every lookup through the translation pages agrees with the L2P shadow.
+void verify_host_view(FtlBase& ftl, const HostView& host) {
+  ASSERT_NO_FATAL_FAILURE(verify_acked(ftl, host.acked));
+  for (Lpn lpn = 0; lpn < ftl.logical_pages(); ++lpn) {
+    ASSERT_FALSE(host.trimmed[lpn] && ftl.is_mapped(lpn))
+        << "trimmed lpn " << lpn << " resurrected";
+    if (ftl.mapping_tier_enabled()) {
+      ASSERT_EQ(ftl.tier_lookup(lpn), ftl.lookup(lpn)) << "lpn " << lpn;
+    }
+  }
+  ASSERT_NO_FATAL_FAILURE(check_invariants(ftl));
+}
+
+TEST_P(RecoveryTest, ProgramFailuresRetireBlocksWithoutDataLoss) {
+  // Input 1: data pages only, tier off. Three scheduled mid-run failures
+  // keep retirement deterministic and the capacity loss bounded (3 of 64
+  // superblocks).
+  {
+    FtlConfig cfg = fault_config();
+    FaultInjector injector;
+    injector.schedule_program_failure(500);
+    injector.schedule_program_failure(2500);
+    injector.schedule_program_failure(6000);
+    cfg.fault_injector = &injector;
+    auto ftl = make_crash_ftl(GetParam(), cfg);
+    const HostView host = run_fault_workload(*ftl, /*trims=*/false, [] {});
+
+    EXPECT_EQ(ftl->stats().program_failures, 3u);
+    // Each failure marks its superblock for retirement; retirement happens
+    // when GC later picks the block, and 3x drive writes force full GC
+    // churn.
+    EXPECT_GE(ftl->stats().blocks_retired, 1u);
+    EXPECT_EQ(ftl->flash().bad_block_count(), ftl->stats().blocks_retired);
+    ASSERT_NO_FATAL_FAILURE(verify_host_view(*ftl, host));
+
+    // Retired blocks must survive a remount out of service.
+    ftl->recover();
+    EXPECT_EQ(ftl->flash().bad_block_count(), ftl->stats().blocks_retired);
+    ASSERT_NO_FATAL_FAILURE(verify_host_view(*ftl, host));
   }
 
-  EXPECT_EQ(ftl->stats().program_failures, 3u);
-  // Each failure marks its superblock for retirement; retirement happens
-  // when GC later picks the block, and 3x drive writes force full GC churn.
-  EXPECT_GE(ftl->stats().blocks_retired, 1u);
-  EXPECT_EQ(ftl->flash().bad_block_count(), ftl->stats().blocks_retired);
-  ASSERT_NO_FATAL_FAILURE(verify_acked(*ftl, acked));
-  ASSERT_NO_FATAL_FAILURE(check_invariants(*ftl));
-
-  // Retired blocks must survive a remount out of service.
-  ftl->recover();
-  EXPECT_EQ(ftl->flash().bad_block_count(), ftl->stats().blocks_retired);
-  ASSERT_NO_FATAL_FAILURE(verify_acked(*ftl, acked));
-  ASSERT_NO_FATAL_FAILURE(check_invariants(*ftl));
+  // Input 2: mapping tier on + trims, one failure on a translation-page
+  // program and (separately) one on a trim-journal program. A fault-free
+  // dry run of the same workload names the op index and the block it
+  // programs: the runs agree up to the failure, and op k stamps
+  // program_seq k + 1 in the dry run. The newest page of each kind one
+  // drive write in leaves two drive writes of GC and compaction traffic to
+  // reclaim the failed block.
+  FtlConfig cfg = fault_config();
+  cfg.mapping_tier = true;
+  cfg.tp_entries = 64;  // 52 translation pages on the tiny drive
+  cfg.cmt_pages = 8;    // heavy write-back traffic
+  // kind -> (op index, superblock) of its newest page one drive write in
+  std::map<PageKind, std::pair<std::uint64_t, std::uint64_t>> newest;
+  {
+    auto dry = make_crash_ftl(GetParam(), cfg);
+    std::uint64_t ops = 0;
+    run_fault_workload(*dry, /*trims=*/true, [&] {
+      if (++ops != dry->logical_pages()) return;
+      const FlashArray& flash = dry->flash();
+      for (Ppn ppn = 0; ppn < cfg.geom.total_pages(); ++ppn) {
+        if (!flash.is_programmed(ppn)) continue;
+        const OobData& oob = flash.read_oob(ppn);
+        auto& [op, sb] = newest[oob.kind];  // zero-initialized when new
+        if (oob.program_seq - 1 >= op) {
+          op = oob.program_seq - 1;
+          sb = cfg.geom.superblock_of(ppn);
+        }
+      }
+    });
+  }
+  for (const PageKind kind : {PageKind::kTranslation, PageKind::kTrimJournal}) {
+    const bool journal = kind == PageKind::kTrimJournal;
+    ASSERT_TRUE(newest.count(kind)) << "dry run programmed no such page";
+    const auto [op, failed] = newest[kind];
+    SCOPED_TRACE(journal ? "journal program failure"
+                         : "translation program failure");
+    FaultInjector injector;
+    injector.schedule_program_failure(op);
+    cfg.fault_injector = &injector;
+    auto ftl = make_crash_ftl(GetParam(), cfg);
+    bool checked = false;
+    const HostView host = run_fault_workload(*ftl, /*trims=*/true, [&] {
+      if (checked || injector.program_failures_injected() == 0) return;
+      // Right after the failure the block is closed and held for its
+      // kind's reclaimer: GC (victim-indexed) for a translation block,
+      // compaction (never indexed) for a journal block.
+      checked = true;
+      check_invariants(*ftl);
+    });
+    EXPECT_EQ(ftl->stats().program_failures, 1u);
+    EXPECT_TRUE(ftl->flash().is_bad(failed)) << "sb " << failed;
+    EXPECT_EQ(ftl->stats().blocks_retired, 1u);
+    EXPECT_EQ(ftl->flash().bad_block_count(), 1u);
+    ASSERT_NO_FATAL_FAILURE(verify_host_view(*ftl, host));
+    ftl->recover();
+    EXPECT_TRUE(ftl->flash().is_bad(failed));
+    ASSERT_NO_FATAL_FAILURE(verify_host_view(*ftl, host));
+  }
 }
 
 TEST_P(RecoveryTest, EraseFailuresShrinkTheDriveGracefully) {
