@@ -139,17 +139,6 @@ inline std::unique_ptr<FtlBase> make_scheme(const std::string& scheme,
   return std::make_unique<core::PhftlFtl>(pcfg);
 }
 
-/// Back-compat overload for callers that predate RunOptions threading.
-inline std::unique_ptr<FtlBase> make_scheme(const std::string& scheme,
-                                            const FtlConfig& cfg,
-                                            std::uint32_t history_len = 8,
-                                            bool time_predictions = true) {
-  RunOptions opts;
-  opts.history_len = history_len;
-  opts.time_predictions = time_predictions;
-  return make_scheme(scheme, cfg, opts);
-}
-
 /// Replay one suite trace under one scheme and collect everything the
 /// benchmarks report. Self-contained: builds its own trace, FTL, and
 /// observability state, so concurrent calls never share mutable state.
@@ -187,16 +176,6 @@ inline SuiteRunResult run_suite_trace(const SuiteTraceSpec& spec,
       artifact.add(spec.id, scheme, drive_writes, res.metrics_json);
   }
   return res;
-}
-
-/// Back-compat convenience overload (serial callers).
-inline SuiteRunResult run_suite_trace(const SuiteTraceSpec& spec,
-                                      const std::string& scheme,
-                                      double drive_writes,
-                                      std::uint32_t history_len = 8) {
-  RunOptions opts;
-  opts.history_len = history_len;
-  return run_suite_trace(spec, scheme, drive_writes, opts);
 }
 
 /// One cell of a benchmark grid.

@@ -158,16 +158,13 @@ void run_workload(FtlBase& ftl, double ops_per_page, double warmup_fraction,
   const FtlStats& s = ftl.stats();
   r.host_reads = s.host_reads;
   r.wa = s.write_amplification();
-  const std::uint64_t host_total = (s.host_reads - warm.host_reads) +
-                                   (s.host_reads_unmapped -
-                                    warm.host_reads_unmapped);
-  const std::uint64_t extra_reads =
-      (s.trans_reads_host - warm.trans_reads_host) +
-      (s.learned_probe_reads_host - warm.learned_probe_reads_host);
-  r.read_amp = host_total == 0
-                   ? 1.0
-                   : static_cast<double>(host_total + extra_reads) /
-                         static_cast<double>(host_total);
+  FtlStats reads;  // the post-warmup window's host-read ledger
+  reads.host_reads = s.host_reads - warm.host_reads;
+  reads.host_reads_unmapped = s.host_reads_unmapped - warm.host_reads_unmapped;
+  reads.trans_reads_host = s.trans_reads_host - warm.trans_reads_host;
+  reads.learned_probe_reads_host =
+      s.learned_probe_reads_host - warm.learned_probe_reads_host;
+  r.read_amp = reads.read_amplification();
   const std::uint64_t lookups = (s.cmt_hits - warm.cmt_hits) +
                                 (s.cmt_misses - warm.cmt_misses);
   r.cmt_hit_rate = lookups == 0

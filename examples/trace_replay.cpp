@@ -63,6 +63,7 @@
 #include "obs/observability.hpp"
 #include "trace/alibaba_suite.hpp"
 #include "trace/csv.hpp"
+#include "util/assert.hpp"
 #include "util/thread_pool.hpp"
 
 using namespace phftl;
@@ -164,6 +165,15 @@ ReplayOutcome run_replay(const std::string& scheme, const Trace& trace,
   out << buf;
   std::uint64_t written = 0;
   std::uint64_t enospc_requests = 0;
+  // Submits one request and returns the pages that took effect. Trace
+  // requests are in range by construction (the CSV reader checks them).
+  auto submit = [&](const HostRequest& r) {
+    const SubmitResult res = ftl->submit_checked(r);
+    PHFTL_CHECK_MSG(res.status != WriteResult::kOutOfRange,
+                    "trace request beyond the drive's logical capacity");
+    if (res.status == WriteResult::kEnospc) ++enospc_requests;
+    return res.pages_completed;
+  };
   bool cut_done = false;
   for (const auto& req : trace.ops) {
     if (!cut_done && opt.power_cut_at != kNoCut && req.op == OpType::kWrite &&
@@ -174,9 +184,7 @@ ReplayOutcome run_replay(const std::string& scheme, const Trace& trace,
       if (keep > 0) {
         HostRequest pre = req;
         pre.num_pages = keep;
-        const SubmitResult r = ftl->submit_checked(pre);
-        if (r.status == WriteResult::kEnospc) ++enospc_requests;
-        written += r.pages_completed;
+        written += submit(pre);
       }
       cut_done = true;
       std::snprintf(buf, sizeof(buf),
@@ -202,15 +210,12 @@ ReplayOutcome run_replay(const std::string& scheme, const Trace& trace,
         HostRequest post = req;
         post.start_lpn += keep;
         post.num_pages -= keep;
-        const SubmitResult r = ftl->submit_checked(post);
-        if (r.status == WriteResult::kEnospc) ++enospc_requests;
-        written += r.pages_completed;
+        written += submit(post);
       }
       continue;
     }
-    const SubmitResult r = ftl->submit_checked(req);
-    if (r.status == WriteResult::kEnospc) ++enospc_requests;
-    if (req.op == OpType::kWrite) written += r.pages_completed;
+    const std::uint32_t done = submit(req);
+    if (req.op == OpType::kWrite) written += done;
   }
   ftl->drain();  // finish a parked GC round before reading final stats
 
@@ -278,13 +283,6 @@ ReplayOutcome run_replay(const std::string& scheme, const Trace& trace,
   }
 
   if (ftl->mapping_tier_enabled()) {
-    const std::uint64_t host_total = s.host_reads + s.host_reads_unmapped;
-    const double read_amp =
-        host_total == 0
-            ? 1.0
-            : static_cast<double>(host_total + s.trans_reads_host +
-                                  s.learned_probe_reads_host) /
-                  static_cast<double>(host_total);
     const std::uint64_t cmt_lookups = s.cmt_hits + s.cmt_misses;
     const double hit_rate =
         cmt_lookups == 0 ? 0.0
@@ -310,7 +308,7 @@ ReplayOutcome run_replay(const std::string& scheme, const Trace& trace,
         static_cast<unsigned long long>(s.trans_reads),
         static_cast<unsigned long long>(s.trans_reads_host),
         static_cast<unsigned long long>(ftl->cmt_resident()),
-        hit_rate * 100.0, read_amp,
+        hit_rate * 100.0, s.read_amplification(),
         static_cast<unsigned long long>(tier_bytes),
         static_cast<unsigned long long>(flat_bytes),
         tier_bytes == 0 ? 0.0

@@ -54,26 +54,22 @@ PhftlFtl::PhftlFtl(const PhftlConfig& cfg)
       trainer_(fill_trainer_config(cfg, logical_pages())),
       pending_(logical_pages()) {
   obs::MetricsRegistry& m = observability().metrics();
-  predictions_ctr_ = &m.counter("ml.predictions", "predictions",
-                                "incremental Page Classifier invocations");
-  short_predictions_ctr_ =
-      &m.counter("ml.predictions_short", "predictions",
-                 "predictions that classified the page short-living");
+  m.counter("ml.predictions", predictions_, "predictions",
+            "incremental Page Classifier invocations");
+  m.counter("ml.predictions_short", short_predictions_, "predictions",
+            "predictions that classified the page short-living");
   predict_latency_hist_ = &m.histogram(
       "ml.predict_latency_ns",
       {50, 100, 200, 400, 800, 1600, 3200, 6400, 12800, 25600}, "ns",
       "wall-clock latency of one incremental GRU prediction (paper: ~9 us "
       "on the Cortex-A9; here the fused int8 host kernels)");
-  meta_cache_hits_ctr_ =
-      &m.counter("meta.cache_hits", "lookups",
-                 "meta-page retrievals served by the RAM cache");
-  meta_cache_misses_ctr_ =
-      &m.counter("meta.cache_misses", "lookups",
-                 "meta-page retrievals that read flash (cache miss)");
-  meta_buffer_hits_ctr_ =
-      &m.counter("meta.buffer_hits", "lookups",
-                 "retrievals served by an open superblock's RAM write "
-                 "buffer (no meta page exists yet)");
+  m.counter("meta.cache_hits", meta_.cache_hits(), "lookups",
+            "meta-page retrievals served by the RAM cache");
+  m.counter("meta.cache_misses", meta_.cache_misses(), "lookups",
+            "meta-page retrievals that read flash (cache miss)");
+  m.counter("meta.buffer_hits", meta_.buffer_hits(), "lookups",
+            "retrievals served by an open superblock's RAM write "
+            "buffer (no meta page exists yet)");
   cache_hit_rate_gauge_ = &m.gauge(
       "meta.cache_hit_rate", "ratio",
       "cache hits / (hits + misses), the paper's 98-99.9% figure (SV-B)");
@@ -117,13 +113,9 @@ MetaEntry PhftlFtl::fetch_metadata(Lpn lpn) {
   const MetaEntry entry = meta_.get(ppn, open, &missed);
   if (missed) {
     note_meta_read();
-    meta_cache_misses_ctr_->inc();
     observability().trace().record(obs::TraceEventType::kMetaCacheMiss,
                                    virtual_clock(), meta_.mppn_of(ppn));
-  } else if (open) {
-    meta_buffer_hits_ctr_->inc();
-  } else {
-    meta_cache_hits_ctr_->inc();
+  } else if (!open) {
     observability().trace().record(obs::TraceEventType::kMetaCacheHit,
                                    virtual_clock(), meta_.mppn_of(ppn));
   }
@@ -166,7 +158,7 @@ std::uint32_t PhftlFtl::classify_user_write(Lpn lpn, const WriteContext& ctx) {
   std::array<float, kInputDim> x;
   encode_features(raw, x);
   int cls;
-  if (obs::kEnabled && cfg_.time_predictions) {
+  if (cfg_.time_predictions) {
     // Time the device-side inference step (the paper's ~9 us budget,
     // SIII-C). The clock reads sit outside the kernel, so bench_kernels'
     // fused-predict numbers are unaffected.
@@ -186,11 +178,7 @@ std::uint32_t PhftlFtl::classify_user_write(Lpn lpn, const WriteContext& ctx) {
   }
   const bool short_living = cls == 1;
   ++predictions_;
-  predictions_ctr_->inc();
-  if (short_living) {
-    ++short_predictions_;
-    short_predictions_ctr_->inc();
-  }
+  if (short_living) ++short_predictions_;
 
   pend.predicted = short_living ? 1 : 0;
   pend.threshold = static_cast<std::uint32_t>(

@@ -145,12 +145,7 @@ class PhftlFtl : public FtlBase {
   std::uint64_t short_predictions_ = 0;
 
   // --- observability handles (registered once in the constructor) ---
-  obs::Counter* predictions_ctr_ = nullptr;
-  obs::Counter* short_predictions_ctr_ = nullptr;
   obs::Histogram* predict_latency_hist_ = nullptr;
-  obs::Counter* meta_cache_hits_ctr_ = nullptr;
-  obs::Counter* meta_cache_misses_ctr_ = nullptr;
-  obs::Counter* meta_buffer_hits_ctr_ = nullptr;
   obs::Gauge* cache_hit_rate_gauge_ = nullptr;
   obs::Gauge* threshold_gauge_ = nullptr;
   obs::Gauge* windows_gauge_ = nullptr;

@@ -138,90 +138,77 @@ void FtlBase::register_ftl_metrics() {
   gc_moved_ctr_ = &m.counter("ftl.gc.moved_valid_pages", "pages",
                              "valid pages migrated out of GC victims (the "
                              "numerator of write amplification)");
-  gc_steps_ctr_ =
-      &m.counter("ftl.gc.steps", "steps",
-                 "bounded GC relocation slices (one per round under "
-                 "stop-the-world; many under time-sliced GC)");
-  gc_preempt_ctr_ =
-      &m.counter("ftl.gc.preemptions", "yields",
-                 "time-sliced GC steps that hit their page budget and "
-                 "yielded back to the host with the round unfinished");
-  erases_ctr_ = &m.counter("ftl.erases", "superblocks", "superblock erases");
-  meta_writes_ctr_ = &m.counter("ftl.meta_writes", "pages",
-                                "ML meta pages programmed (PHFTL only)");
-  stream_borrows_ctr_ =
-      &m.counter("ftl.stream_borrows", "pages",
-                 "GC appends redirected to another stream's open superblock "
-                 "under free-pool pressure");
-  host_reads_ctr_ =
-      &m.counter("ftl.host_reads", "pages", "mapped host pages read");
-  trims_ctr_ = &m.counter("ftl.trims", "pages",
-                          "mapped logical pages discarded (effective trims; "
-                          "trims of unmapped pages are no-ops)");
-  journal_appends_ctr_ =
-      &m.counter("ftl.trim_journal.appends", "pages",
-                 "trim-journal record pages programmed (host trims + "
-                 "compaction rewrites)");
+  m.counter("ftl.gc.steps", stats_.gc_steps, "steps",
+            "bounded GC relocation slices (one per round under "
+            "stop-the-world; many under time-sliced GC)");
+  m.counter("ftl.gc.preemptions", stats_.gc_preemptions, "yields",
+            "time-sliced GC steps that hit their page budget and "
+            "yielded back to the host with the round unfinished");
+  m.counter("ftl.erases", stats_.erases, "superblocks", "superblock erases");
+  m.counter("ftl.meta_writes", stats_.meta_writes, "pages",
+            "ML meta pages programmed (PHFTL only)");
+  m.counter("ftl.stream_borrows", stats_.stream_borrows, "pages",
+            "GC appends redirected to another stream's open superblock "
+            "under free-pool pressure");
+  m.counter("ftl.host_reads", stats_.host_reads, "pages",
+            "mapped host pages read");
+  m.counter("ftl.trims", stats_.trims, "pages",
+            "mapped logical pages discarded (effective trims; "
+            "trims of unmapped pages are no-ops)");
+  m.counter("ftl.trim_journal.appends", stats_.journal_writes, "pages",
+            "trim-journal record pages programmed (host trims + "
+            "compaction rewrites)");
   journal_records_ctr_ = &m.counter("ftl.trim_journal.records", "records",
                                     "trim range records written to the "
                                     "journal");
-  journal_compactions_ctr_ =
-      &m.counter("ftl.trim_journal.compactions", "compactions",
-                 "journal compactions (tombstones rewritten densely, old "
-                 "record superblocks reclaimed)");
+  m.counter("ftl.trim_journal.compactions", stats_.trim_journal_compactions,
+            "compactions",
+            "journal compactions (tombstones rewritten densely, old "
+            "record superblocks reclaimed)");
   journal_replayed_ctr_ =
       &m.counter("ftl.trim_journal.replayed_tombstones", "pages",
                  "resurrected mappings unmapped again by mount-time journal "
                  "replay");
-  enospc_ctr_ = &m.counter("ftl.enospc_rejections", "pages",
-                           "host writes rejected at the capacity watermark "
-                           "(ENOSPC)");
-  wl_rounds_ctr_ =
-      &m.counter("ftl.wl.rounds", "rounds",
-                 "completed static wear-leveling rounds (cold victim drained "
-                 "into worn blocks; a subset of ftl.gc.rounds)");
-  wl_migrations_ctr_ =
-      &m.counter("ftl.wl.migrations", "pages",
-                 "pages migrated by wear-leveling rounds (a subset of GC "
-                 "moved pages, so WA already charges them)");
-  wear_retired_ctr_ =
-      &m.counter("flash.wear_retired", "superblocks",
-                 "superblocks retired at the P/E-cycle budget (end-of-life)");
-  program_fail_ctr_ =
-      &m.counter("flash.program_failures", "pages",
-                 "program operations that aborted (page consumed, data "
-                 "retried on a fresh page)");
-  erase_fail_ctr_ = &m.counter("flash.erase_failures", "superblocks",
-                               "erase operations that failed (block went "
-                               "bad in place)");
-  retired_ctr_ = &m.counter("flash.blocks_retired", "superblocks",
-                            "superblocks retired after a program failure "
-                            "(drained by GC, no erase)");
-  host_reads_unmapped_ctr_ =
-      &m.counter("ftl.host_reads_unmapped", "pages",
-                 "host reads of unmapped LPNs (never written, or trimmed), "
-                 "served as zero-fill without touching flash");
-  cmt_hits_ctr_ = &m.counter("ftl.map.cmt_hits", "lookups",
-                             "mapping-tier lookups served by a resident "
-                             "translation page");
-  cmt_misses_ctr_ =
-      &m.counter("ftl.map.cmt_misses", "lookups",
-                 "mapping-tier lookups that missed the CMT (segment fetched "
-                 "from flash, adopted from the write-back buffer, or "
-                 "materialized empty)");
-  trans_reads_ctr_ =
-      &m.counter("ftl.map.translation_reads", "pages",
-                 "translation pages fetched from flash (CMT demand misses + "
-                 "GC reads of non-resident valid translation pages)");
-  trans_writes_ctr_ =
-      &m.counter("ftl.map.translation_writes", "pages",
-                 "translation pages programmed (dirty write-backs + GC "
-                 "migrations + mount-time reconciliation); part of "
-                 "flash_writes(), so WA charges the tier");
-  trans_gc_writes_ctr_ =
-      &m.counter("ftl.map.translation_gc_writes", "pages",
-                 "GC migrations of valid translation pages (a subset of "
-                 "ftl.map.translation_writes)");
+  m.counter("ftl.enospc_rejections", stats_.enospc_rejections, "pages",
+            "host writes rejected at the capacity watermark "
+            "(ENOSPC)");
+  m.counter("ftl.wl.rounds", stats_.wl_rounds, "rounds",
+            "completed static wear-leveling rounds (cold victim drained "
+            "into worn blocks; a subset of ftl.gc.rounds)");
+  m.counter("ftl.wl.migrations", stats_.wl_migrations, "pages",
+            "pages migrated by wear-leveling rounds (a subset of GC "
+            "moved pages, so WA already charges them)");
+  m.counter("flash.wear_retired", stats_.wear_retired, "superblocks",
+            "superblocks retired at the P/E-cycle budget (end-of-life)");
+  m.counter("flash.program_failures", stats_.program_failures, "pages",
+            "program operations that aborted (page consumed, data "
+            "retried on a fresh page)");
+  m.counter("flash.erase_failures", stats_.erase_failures, "superblocks",
+            "erase operations that failed (block went "
+            "bad in place)");
+  m.counter("flash.blocks_retired", stats_.blocks_retired, "superblocks",
+            "superblocks retired after a program failure "
+            "(drained by GC, no erase)");
+  m.counter("ftl.host_reads_unmapped", stats_.host_reads_unmapped, "pages",
+            "host reads of unmapped LPNs (never written, or trimmed), "
+            "served as zero-fill without touching flash");
+  m.counter("ftl.map.cmt_hits", stats_.cmt_hits, "lookups",
+            "mapping-tier lookups served by a resident "
+            "translation page");
+  m.counter("ftl.map.cmt_misses", stats_.cmt_misses, "lookups",
+            "mapping-tier lookups that missed the CMT (segment fetched "
+            "from flash, adopted from the write-back buffer, or "
+            "materialized empty)");
+  m.counter("ftl.map.translation_reads", stats_.trans_reads, "pages",
+            "translation pages fetched from flash (CMT demand misses + "
+            "GC reads of non-resident valid translation pages)");
+  m.counter("ftl.map.translation_writes", stats_.trans_writes, "pages",
+            "translation pages programmed (dirty write-backs + GC "
+            "migrations + mount-time reconciliation); part of "
+            "flash_writes(), so WA charges the tier");
+  m.counter("ftl.map.translation_gc_writes", stats_.trans_gc_writes, "pages",
+            "GC migrations of valid translation pages (a subset of "
+            "ftl.map.translation_writes)");
   wb_flushes_ctr_ =
       &m.counter("ftl.map.wb_flushes", "flushes",
                  "batched write-back flushes of evicted dirty translation "
@@ -231,18 +218,16 @@ void FtlBase::register_ftl_metrics() {
                  "translation pages rewritten at mount because their flash "
                  "copy trailed the OOB-rebuilt truth (dirty CMT state lost "
                  "to the cut, or trims replayed past them)");
-  learned_hits_ctr_ =
-      &m.counter("ftl.map.learned_hits", "lookups",
-                 "CMT misses served by an OOB-verified learned-index "
-                 "prediction instead of a translation-page fetch");
-  learned_mispredicts_ctr_ =
-      &m.counter("ftl.map.learned_mispredicts", "lookups",
-                 "learned predictions whose probe window failed OOB "
-                 "verification (fell back to the GTD/CMT path)");
-  learned_probe_reads_ctr_ =
-      &m.counter("ftl.map.learned_probe_reads", "pages",
-                 "wasted learned-probe page reads (failed OOB verifications; "
-                 "a hit's successful probe is the data read itself)");
+  m.counter("ftl.map.learned_hits", stats_.learned_hits, "lookups",
+            "CMT misses served by an OOB-verified learned-index "
+            "prediction instead of a translation-page fetch");
+  m.counter("ftl.map.learned_mispredicts", stats_.learned_mispredicts,
+            "lookups",
+            "learned predictions whose probe window failed OOB "
+            "verification (fell back to the GTD/CMT path)");
+  m.counter("ftl.map.learned_probe_reads", stats_.learned_probe_reads, "pages",
+            "wasted learned-probe page reads (failed OOB verifications; "
+            "a hit's successful probe is the data read itself)");
   recovery_mounts_ctr_ = &m.counter("recovery.mounts", "mounts",
                                     "recover() calls (unclean-shutdown "
                                     "mounts serviced)");
@@ -362,15 +347,7 @@ void FtlBase::refresh_observability() {
                      : static_cast<double>(stats_.cmt_hits) /
                            static_cast<double>(lookups));
     map_ram_gauge_->set(static_cast<double>(mapping_ram_bytes()));
-    const std::uint64_t host_reads_total =
-        stats_.host_reads + stats_.host_reads_unmapped;
-    read_amp_gauge_->set(
-        host_reads_total == 0
-            ? 0.0
-            : static_cast<double>(stats_.host_reads +
-                                  stats_.trans_reads_host +
-                                  stats_.learned_probe_reads_host) /
-                  static_cast<double>(host_reads_total));
+    read_amp_gauge_->set(stats_.read_amplification());
     trans_wa_gauge_->set(
         stats_.user_writes == 0
             ? 0.0
@@ -422,7 +399,6 @@ void FtlBase::dispose_drained_superblock(std::uint64_t sb) {
     --pending_retire_count_;
     flash_.retire_superblock(sb);
     ++stats_.blocks_retired;
-    retired_ctr_->inc();
     obs_.trace().record(obs::TraceEventType::kBlockRetired, virtual_clock_,
                         sb);
     note_block_lost(sb);
@@ -435,16 +411,13 @@ void FtlBase::dispose_drained_superblock(std::uint64_t sb) {
       // the block just never re-enters the free pool.
       note_erase(sb);
       ++stats_.erases;
-      erases_ctr_->inc();
       ++stats_.wear_retired;
-      wear_retired_ctr_->inc();
       obs_.trace().record(obs::TraceEventType::kWearRetired, virtual_clock_,
                           sb, wear_[sb]);
     } else {
       // Erase failure: the block went bad in place without erasing. The
       // caller's round still made progress (the drained pages moved).
       ++stats_.erase_failures;
-      erase_fail_ctr_->inc();
       obs_.trace().record(obs::TraceEventType::kEraseFail, virtual_clock_,
                           sb);
     }
@@ -454,7 +427,6 @@ void FtlBase::dispose_drained_superblock(std::uint64_t sb) {
   note_erase(sb);
   ++stats_.erases;
   free_pool_.push_back(sb);
-  erases_ctr_->inc();
   obs_.trace().record(obs::TraceEventType::kFlashErase, virtual_clock_, sb);
 }
 
@@ -485,20 +457,23 @@ void FtlBase::seed_virtual_clock(std::uint64_t v) {
 
 void FtlBase::submit(const HostRequest& req) {
   const SubmitResult res = submit_checked(req);
+  PHFTL_CHECK_MSG(res.status != WriteResult::kOutOfRange,
+                  "empty request or request beyond logical capacity");
   PHFTL_CHECK_MSG(res.status == WriteResult::kOk,
                   "host write rejected at the capacity watermark (ENOSPC); "
                   "use submit_checked() to handle it");
 }
 
 SubmitResult FtlBase::submit_checked(const HostRequest& req) {
-  PHFTL_CHECK(req.num_pages > 0);
+  SubmitResult res;
   // Overflow-safe form: `start + n <= logical_pages_` wraps for adversarial
   // near-UINT64_MAX starts and would admit an out-of-range request.
-  PHFTL_CHECK_MSG(req.start_lpn < logical_pages_ &&
-                      req.num_pages <= logical_pages_ - req.start_lpn,
-                  "request beyond logical capacity");
+  if (req.num_pages == 0 || req.start_lpn >= logical_pages_ ||
+      req.num_pages > logical_pages_ - req.start_lpn) {
+    res.status = WriteResult::kOutOfRange;
+    return res;
+  }
   on_request(req);
-  SubmitResult res;
   if (req.op == OpType::kRead) {
     for (std::uint32_t i = 0; i < req.num_pages; ++i)
       read_page(req.start_lpn + i);
@@ -565,7 +540,6 @@ WriteResult FtlBase::write_page_impl(Lpn lpn, const WriteContext& ctx_in,
   if (reject != nullptr) {
     PHFTL_CHECK_MSG(checked, reject);
     ++stats_.enospc_rejections;
-    enospc_ctr_->inc();
     obs_.trace().record(obs::TraceEventType::kEnospc, virtual_clock_, lpn,
                         mapped_count_);
     return WriteResult::kEnospc;
@@ -616,11 +590,9 @@ std::uint64_t FtlBase::read_page(Lpn lpn) {
     // mapping tier's read-amplification denominator needs an honest read
     // ledger (a demand fetch may already have been charged above).
     ++stats_.host_reads_unmapped;
-    host_reads_unmapped_ctr_->inc();
     return 0;
   }
   ++stats_.host_reads;
-  host_reads_ctr_->inc();
   return flash_.read(ppn);
 }
 
@@ -651,7 +623,6 @@ std::uint64_t FtlBase::trim_range(Lpn start, std::uint64_t n) {
           ++live_tombstones_;
         }
         ++stats_.trims;
-        trims_ctr_->inc();
         ++effective;
         return true;
       });
@@ -709,7 +680,6 @@ void FtlBase::compact_trim_journal() {
   }
 
   ++stats_.trim_journal_compactions;
-  journal_compactions_ctr_->inc();
   // Re-derive the threshold from the surviving footprint so a large live
   // tombstone set doesn't trigger back-to-back compactions.
   journal_compact_threshold_ = std::max<std::uint64_t>(
@@ -777,7 +747,6 @@ void FtlBase::close_superblock(std::uint64_t sb, bool indexed) {
 
 void FtlBase::note_program_failure(std::uint64_t sb) {
   ++stats_.program_failures;
-  program_fail_ctr_->inc();
   obs_.trace().record(obs::TraceEventType::kProgramFail, virtual_clock_, sb,
                       0, sb_meta_[sb].stream);
   if (!pending_retire_[sb]) {
@@ -820,7 +789,6 @@ Ppn FtlBase::append(std::uint32_t stream, std::uint64_t key,
         }
         PHFTL_CHECK_MSG(found, "capacity exhausted: no open superblock left");
         ++stats_.stream_borrows;
-        stream_borrows_ctr_->inc();
       }
     }
     const std::size_t slot = open_slot(kind, target);
@@ -857,7 +825,6 @@ Ppn FtlBase::append(std::uint32_t stream, std::uint64_t key,
       const std::uint64_t records = blob->size() / 2;
       ++stats_.journal_writes;
       ++journal_pages_used_;
-      journal_appends_ctr_->inc();
       journal_records_ctr_->add(records);
       obs_.trace().record(obs::TraceEventType::kTrimJournalAppend,
                           virtual_clock_, ppn, records);
@@ -882,7 +849,6 @@ Ppn FtlBase::append(std::uint32_t stream, std::uint64_t key,
       // flash blob the GTD now points at.
       if (cfg_.learned_index) learned_.train(key, *blob);
       ++stats_.trans_writes;
-      trans_writes_ctr_->inc();
       obs_.trace().record(obs::TraceEventType::kTransProgram, virtual_clock_,
                           ppn, key, target);
     }
@@ -921,7 +887,6 @@ Ppn FtlBase::program_meta_page(std::uint64_t sb, std::uint64_t payload) {
     return kInvalidPpn;
   }
   ++stats_.meta_writes;
-  meta_writes_ctr_->inc();
   stream_flash_writes_[sb_meta_[sb].stream]->inc();
   obs_.trace().record(obs::TraceEventType::kFlashProgram, virtual_clock_, ppn,
                       0, sb_meta_[sb].stream);
@@ -1272,7 +1237,6 @@ void FtlBase::maybe_wear_level() {
 void FtlBase::advance_round(std::uint64_t budget) {
   if (!gc_step(budget)) {
     ++stats_.gc_preemptions;
-    gc_preempt_ctr_->inc();
     obs_.trace().record(obs::TraceEventType::kGcPreempt, virtual_clock_,
                         gc_victim_, sb_meta_[gc_victim_].valid_count);
   }
@@ -1442,10 +1406,7 @@ bool FtlBase::gc_step(std::uint64_t budget) {
     // writes back once.
     if (cfg_.mapping_tier) map_update(lpn, new_ppn);
     ++stats_.gc_writes;
-    if (wl_round_) {
-      ++stats_.wl_migrations;
-      wl_migrations_ctr_->inc();
-    }
+    if (wl_round_) ++stats_.wl_migrations;
     ++moved;
     on_gc_write_complete(lpn, new_ppn, oob);
   }
@@ -1455,7 +1416,6 @@ bool FtlBase::gc_step(std::uint64_t budget) {
   gc_cursor_ = off;
   gc_round_moved_ += moved;
   ++stats_.gc_steps;
-  gc_steps_ctr_->inc();
   obs_.trace().record(obs::TraceEventType::kGcStep, virtual_clock_, victim,
                       moved);
   if (off < pages) {
@@ -1475,7 +1435,6 @@ bool FtlBase::gc_step(std::uint64_t budget) {
                       victim, gc_round_moved_);
   if (wl_round_) {
     ++stats_.wl_rounds;
-    wl_rounds_ctr_->inc();
     obs_.trace().record(obs::TraceEventType::kWearLevel, virtual_clock_,
                         victim, gc_round_moved_);
     wl_round_ = false;
@@ -1601,20 +1560,17 @@ Ppn FtlBase::learned_lookup(Lpn lpn, bool host_read) {
   }
   stats_.learned_probe_reads += wasted;
   if (host_read) stats_.learned_probe_reads_host += wasted;
-  if (wasted != 0) learned_probe_reads_ctr_->add(wasted);
   if (found != kInvalidPpn) {
     // valid_bit_ + OOB match imply p2l_[found] == lpn, so this check can
     // only fire if the validity state itself diverged from the shadow.
     PHFTL_CHECK_MSG(found == l2p_[lpn],
                     "verified learned probe diverged from the L2P shadow");
     ++stats_.learned_hits;
-    learned_hits_ctr_->inc();
     obs_.trace().record(obs::TraceEventType::kLearnedHit, virtual_clock_,
                         found, lpn);
     return found;
   }
   ++stats_.learned_mispredicts;
-  learned_mispredicts_ctr_->inc();
   obs_.trace().record(obs::TraceEventType::kLearnedMispredict, virtual_clock_,
                       static_cast<std::uint64_t>(pred < 0 ? 0 : pred), lpn);
   return kInvalidPpn;
@@ -1643,7 +1599,6 @@ std::uint32_t FtlBase::cmt_fetch(std::uint64_t tpn, std::uint64_t exempt_idx,
     const std::uint32_t node = cmt_.node_of(tpn);
     if (node != core::FlatMetaCache::kNoNode) {
       ++stats_.cmt_hits;
-      cmt_hits_ctr_->inc();
       const core::CacheAccess acc = cmt_.access(tpn);  // LRU touch
       PHFTL_CHECK(acc.hit && acc.node == node);
       obs_.trace().record(obs::TraceEventType::kTransCacheHit, virtual_clock_,
@@ -1652,7 +1607,6 @@ std::uint32_t FtlBase::cmt_fetch(std::uint64_t tpn, std::uint64_t exempt_idx,
     }
   }
   ++stats_.cmt_misses;
-  cmt_misses_ctr_->inc();
 
   // Content source, newest first: the write-back buffer still owns the
   // freshest copy of a page evicted dirty (adopting it re-dirties the
@@ -1671,7 +1625,6 @@ std::uint32_t FtlBase::cmt_fetch(std::uint64_t tpn, std::uint64_t exempt_idx,
   } else if (gtd_[tpn] != kInvalidPpn) {
     content = flash_.read_blob(gtd_[tpn]);
     ++stats_.trans_reads;
-    trans_reads_ctr_->inc();
     if (host_read) ++stats_.trans_reads_host;
     obs_.trace().record(obs::TraceEventType::kTransFetch, virtual_clock_,
                         gtd_[tpn], tpn);
@@ -1758,10 +1711,7 @@ Ppn FtlBase::append_translation_page(std::uint64_t tpn,
   oob.tpn = tpn;
   oob.write_time = virtual_clock_;
   const Ppn ppn = append<PageKind::kTranslation>(stream, tpn, 0, oob, &blob);
-  if (gc_migration) {
-    ++stats_.trans_gc_writes;
-    trans_gc_writes_ctr_->inc();
-  }
+  if (gc_migration) ++stats_.trans_gc_writes;
   return ppn;
 }
 
@@ -1792,16 +1742,12 @@ void FtlBase::gc_migrate_translation_page(std::uint64_t victim, Ppn ppn) {
   } else {
     blob = flash_.read_blob(ppn);
     ++stats_.trans_reads;
-    trans_reads_ctr_->inc();
   }
   blob.resize(tp_entries_, kInvalidPpn);
   append_translation_page(tpn, std::move(blob), /*gc_migration=*/true);
   // The new flash copy now matches the resident content exactly.
   if (node != core::FlatMetaCache::kNoNode) cmt_dirty_[node] = 0;
-  if (wl_round_) {
-    ++stats_.wl_migrations;
-    wl_migrations_ctr_->inc();
-  }
+  if (wl_round_) ++stats_.wl_migrations;
 }
 
 void FtlBase::reconcile_translation_pages(RecoveryReport& rep) {

@@ -149,12 +149,15 @@ class FtlBase {
   std::uint64_t logical_pages() const { return logical_pages_; }
 
   /// Submit a block-layer request; pages are processed in order. Aborts
-  /// (PHFTL_CHECK) if a write is rejected at the capacity watermark — use
-  /// submit_checked() to observe ENOSPC instead.
+  /// (PHFTL_CHECK) on an empty or out-of-range request and if a write is
+  /// rejected at the capacity watermark — use submit_checked() to observe
+  /// either instead.
   void submit(const HostRequest& req);
-  /// Admission-checked submit: write pages past the capacity watermark are
-  /// rejected with WriteResult::kEnospc instead of aborting. Pages are
-  /// processed in order; see SubmitResult for partial-completion semantics.
+  /// Admission-checked submit: an empty request or one reaching past the
+  /// logical capacity returns WriteResult::kOutOfRange before any state
+  /// changes, and write pages past the capacity watermark are rejected with
+  /// kEnospc instead of aborting. Pages are processed in order; see
+  /// SubmitResult for partial-completion semantics.
   SubmitResult submit_checked(const HostRequest& req);
 
   /// Single-page operations (page-granularity convenience API).
@@ -755,38 +758,13 @@ class FtlBase {
   obs::Counter* gc_rounds_ctr_ = nullptr;
   obs::Counter* gc_aborted_ctr_ = nullptr;
   obs::Counter* gc_moved_ctr_ = nullptr;
-  obs::Counter* gc_steps_ctr_ = nullptr;
-  obs::Counter* gc_preempt_ctr_ = nullptr;
-  obs::Counter* erases_ctr_ = nullptr;
-  obs::Counter* meta_writes_ctr_ = nullptr;
-  obs::Counter* stream_borrows_ctr_ = nullptr;
-  obs::Counter* host_reads_ctr_ = nullptr;
-  obs::Counter* trims_ctr_ = nullptr;
-  obs::Counter* program_fail_ctr_ = nullptr;
-  obs::Counter* erase_fail_ctr_ = nullptr;
-  obs::Counter* retired_ctr_ = nullptr;
   obs::Counter* recovery_mounts_ctr_ = nullptr;
   obs::Counter* recovery_oob_scans_ctr_ = nullptr;
   obs::Counter* recovery_rebuild_ns_ctr_ = nullptr;
-  obs::Counter* journal_appends_ctr_ = nullptr;
   obs::Counter* journal_records_ctr_ = nullptr;
-  obs::Counter* journal_compactions_ctr_ = nullptr;
   obs::Counter* journal_replayed_ctr_ = nullptr;
-  obs::Counter* enospc_ctr_ = nullptr;
-  obs::Counter* host_reads_unmapped_ctr_ = nullptr;
-  obs::Counter* cmt_hits_ctr_ = nullptr;
-  obs::Counter* cmt_misses_ctr_ = nullptr;
-  obs::Counter* trans_reads_ctr_ = nullptr;
-  obs::Counter* trans_writes_ctr_ = nullptr;
-  obs::Counter* trans_gc_writes_ctr_ = nullptr;
   obs::Counter* wb_flushes_ctr_ = nullptr;
   obs::Counter* trans_reconciled_ctr_ = nullptr;
-  obs::Counter* learned_hits_ctr_ = nullptr;
-  obs::Counter* learned_mispredicts_ctr_ = nullptr;
-  obs::Counter* learned_probe_reads_ctr_ = nullptr;
-  obs::Counter* wl_rounds_ctr_ = nullptr;
-  obs::Counter* wl_migrations_ctr_ = nullptr;
-  obs::Counter* wear_retired_ctr_ = nullptr;
   obs::Histogram* victim_valid_hist_ = nullptr;
   obs::Histogram* erase_count_hist_ = nullptr;
   obs::Gauge* bad_blocks_gauge_ = nullptr;

@@ -21,12 +21,13 @@ struct HostRequest {
 /// rejected at the capacity watermark: accepting it could leave GC unable
 /// to reach its free-superblock target (over-provisioning lost to
 /// bad/retired blocks plus trim-journal overhead). Nothing was modified;
-/// the host may retry after trimming.
-enum class WriteResult : std::uint8_t { kOk = 0, kEnospc = 1 };
+/// the host may retry after trimming. kOutOfRange means the request was
+/// empty or reached past the logical capacity; nothing was modified.
+enum class WriteResult : std::uint8_t { kOk = 0, kEnospc = 1, kOutOfRange = 2 };
 
 /// Outcome of an admission-checked request. Pages are processed in order,
 /// so on kEnospc the first `pages_completed` pages of the request took
-/// effect and the rest did not.
+/// effect and the rest did not. kOutOfRange completes no page.
 struct SubmitResult {
   WriteResult status = WriteResult::kOk;
   std::uint32_t pages_completed = 0;

@@ -110,7 +110,22 @@ struct FtlStats {
                      static_cast<double>(user_writes);
   }
 
+  /// Host read amplification of the mapping tier (docs/MAPPING.md): flash
+  /// reads the host path paid, (host_reads + trans_reads_host +
+  /// learned_probe_reads_host), per host read including unmapped
+  /// zero-fills. A zero-fill reads no flash, so it counts in the
+  /// denominator only. 0 before the first host read.
+  double read_amplification() const {
+    const std::uint64_t reads = host_reads + host_reads_unmapped;
+    return reads == 0
+               ? 0.0
+               : static_cast<double>(host_reads + trans_reads_host +
+                                     learned_probe_reads_host) /
+                     static_cast<double>(reads);
+  }
+
   void reset() { *this = FtlStats{}; }
+  bool operator==(const FtlStats&) const = default;
 };
 
 }  // namespace phftl

@@ -1,10 +1,9 @@
 // JSON / CSV / chrome://tracing exporters for the observability layer.
 //
 // Output is deterministic (registration order, fixed number formatting) so
-// tests can golden-check it and trajectory tooling can diff runs. The same
-// code path serves PHFTL_OBS=OFF builds: the stub registry has no entries
-// and the stub recorder holds no events, so the emitted JSON is still
-// valid (and marked "phftl_obs": false).
+// tests can golden-check it and trajectory tooling can diff runs. The
+// leading "phftl_obs": true key stays so existing files and the tools that
+// read them keep their layout.
 #include "obs/observability.hpp"
 
 #include <cmath>
@@ -76,8 +75,7 @@ void append_histogram_json(std::string& out, const Histogram& h) {
 std::string metrics_to_json(const Observability& obs) {
   const MetricsRegistry& m = obs.metrics();
   std::string out = "{\n";
-  out += std::string("  \"phftl_obs\": ") + (kEnabled ? "true" : "false") +
-         ",\n";
+  out += "  \"phftl_obs\": true,\n";
 
   for (const MetricType type :
        {MetricType::kCounter, MetricType::kGauge, MetricType::kHistogram}) {

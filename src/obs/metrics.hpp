@@ -12,11 +12,11 @@
 //   * export order is registration order, so JSON/CSV output is
 //     deterministic and golden-testable.
 //
-// The whole layer compiles out with -DPHFTL_OBS=OFF (PHFTL_OBS_ENABLED=0):
-// the same API surface remains, but every update is an empty inline
-// function and the registry stores nothing. `phftl::obs::kEnabled` lets
-// callers skip instrumentation-only work (e.g. reading a clock) with
-// `if constexpr`.
+// Read-through counters: a producer that already keeps an event count in
+// one of its own fields (FtlStats, MetaStore, ...) registers the field
+// instead of bumping a second copy. The registry reads the field at export
+// and snapshot time, so one event is counted exactly once and the two
+// views cannot drift.
 #pragma once
 
 #include <algorithm>
@@ -29,13 +29,7 @@
 
 #include "util/assert.hpp"
 
-#ifndef PHFTL_OBS_ENABLED
-#define PHFTL_OBS_ENABLED 1
-#endif
-
 namespace phftl::obs {
-
-inline constexpr bool kEnabled = PHFTL_OBS_ENABLED != 0;
 
 enum class MetricType : std::uint8_t { kCounter, kGauge, kHistogram };
 
@@ -48,17 +42,23 @@ inline const char* metric_type_name(MetricType t) {
   return "?";
 }
 
-#if PHFTL_OBS_ENABLED
-
-/// Monotonically increasing event count.
+/// Monotonically increasing event count. An owned counter is bumped with
+/// inc()/add(); a read-through counter reports its producer's field and is
+/// only handed out const.
 class Counter {
  public:
+  Counter() = default;
+  explicit Counter(const std::uint64_t* source) : source_(source) {}
+
   void inc() { ++value_; }
   void add(std::uint64_t n) { value_ += n; }
-  std::uint64_t value() const { return value_; }
+  std::uint64_t value() const { return source_ ? *source_ : value_; }
 
  private:
+  friend class MetricsRegistry;
+
   std::uint64_t value_ = 0;
+  const std::uint64_t* source_ = nullptr;  ///< read-through field, or null
 };
 
 /// Last-written point-in-time value (WA, hit rate, threshold, ...).
@@ -128,20 +128,42 @@ class MetricsRegistry {
     std::size_t index;
   };
 
+  /// Owned counter, bumped by the caller.
   Counter& counter(std::string_view name, std::string_view unit = "",
                    std::string_view help = "") {
     const std::size_t e = find_or_register(name, MetricType::kCounter, unit,
                                            help, counters_.size());
     if (e == counters_.size()) counters_.emplace_back();
-    return counters_[entries_[by_name_.at(std::string(name))].index];
+    Counter& c = counters_[e];
+    PHFTL_CHECK_MSG(c.source_ == nullptr,
+                    "metric already registered as a read-through counter");
+    return c;
   }
+
+  /// Read-through counter: value() reads `source`, which must outlive the
+  /// registry (in practice a field of the object that owns it).
+  const Counter& counter(std::string_view name, const std::uint64_t& source,
+                         std::string_view unit = "",
+                         std::string_view help = "") {
+    const std::size_t e = find_or_register(name, MetricType::kCounter, unit,
+                                           help, counters_.size());
+    if (e == counters_.size()) counters_.emplace_back(&source);
+    const Counter& c = counters_[e];
+    PHFTL_CHECK_MSG(c.source_ == &source,
+                    "metric already registered with a different source");
+    return c;
+  }
+  /// A temporary cannot be a source: the counter would read freed memory.
+  const Counter& counter(std::string_view name, const std::uint64_t&& source,
+                         std::string_view unit = "",
+                         std::string_view help = "") = delete;
 
   Gauge& gauge(std::string_view name, std::string_view unit = "",
                std::string_view help = "") {
     const std::size_t e = find_or_register(name, MetricType::kGauge, unit,
                                            help, gauges_.size());
     if (e == gauges_.size()) gauges_.emplace_back();
-    return gauges_[entries_[by_name_.at(std::string(name))].index];
+    return gauges_[e];
   }
 
   Histogram& histogram(std::string_view name, std::vector<double> upper_edges,
@@ -150,7 +172,7 @@ class MetricsRegistry {
                                            help, histograms_.size());
     if (e == histograms_.size())
       histograms_.emplace_back(std::move(upper_edges));
-    return histograms_[entries_[by_name_.at(std::string(name))].index];
+    return histograms_[e];
   }
 
   // --- lookup (tests, exporters) ---
@@ -221,76 +243,5 @@ class MetricsRegistry {
   std::vector<Entry> entries_;
   std::unordered_map<std::string, std::size_t> by_name_;
 };
-
-#else  // PHFTL_OBS_ENABLED == 0 — zero-cost stubs, same API surface.
-
-class Counter {
- public:
-  void inc() {}
-  void add(std::uint64_t) {}
-  std::uint64_t value() const { return 0; }
-};
-
-class Gauge {
- public:
-  void set(double) {}
-  double value() const { return 0.0; }
-};
-
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> = {}) {}
-  void observe(double) {}
-  const std::vector<double>& edges() const { return kEmptyEdges; }
-  std::uint64_t bucket_count(std::size_t) const { return 0; }
-  std::uint64_t count() const { return 0; }
-  double sum() const { return 0.0; }
-  double mean() const { return 0.0; }
-  double min() const { return 0.0; }
-  double max() const { return 0.0; }
-
- private:
-  static inline const std::vector<double> kEmptyEdges{};
-};
-
-class MetricsRegistry {
- public:
-  struct Entry {
-    std::string name;
-    std::string unit;
-    std::string help;
-    MetricType type;
-    std::size_t index;
-  };
-
-  Counter& counter(std::string_view, std::string_view = "",
-                   std::string_view = "") {
-    return counter_;
-  }
-  Gauge& gauge(std::string_view, std::string_view = "", std::string_view = "") {
-    return gauge_;
-  }
-  Histogram& histogram(std::string_view, std::vector<double>,
-                       std::string_view = "", std::string_view = "") {
-    return histogram_;
-  }
-
-  const Counter* find_counter(std::string_view) const { return nullptr; }
-  const Gauge* find_gauge(std::string_view) const { return nullptr; }
-  const Histogram* find_histogram(std::string_view) const { return nullptr; }
-
-  std::size_t size() const { return 0; }
-  const std::vector<Entry>& entries() const { return kNoEntries; }
-  double value_of(const Entry&) const { return 0.0; }
-  const Histogram& histogram_at(const Entry&) const { return histogram_; }
-
- private:
-  static inline Counter counter_{};
-  static inline Gauge gauge_{};
-  static inline Histogram histogram_{};
-  static inline const std::vector<Entry> kNoEntries{};
-};
-
-#endif  // PHFTL_OBS_ENABLED
 
 }  // namespace phftl::obs

@@ -49,26 +49,18 @@ class Observability {
 
   /// Advance the snapshot clock; called once per host page write.
   void tick(std::uint64_t now) {
-#if PHFTL_OBS_ENABLED
     if (cadence_ == 0 || now < next_snapshot_) return;
     take_snapshot(now);
     while (next_snapshot_ <= now) next_snapshot_ += cadence_;
-#else
-    (void)now;
-#endif
   }
 
   void take_snapshot(std::uint64_t now) {
-#if PHFTL_OBS_ENABLED
     MetricsSnapshot s;
     s.now = now;
     s.values.reserve(metrics_.size());
     for (const auto& e : metrics_.entries())
       s.values.push_back(metrics_.value_of(e));
     snapshots_.push_back(std::move(s));
-#else
-    (void)now;
-#endif
   }
 
   const std::vector<MetricsSnapshot>& snapshots() const { return snapshots_; }
@@ -84,8 +76,7 @@ class Observability {
 // --- exporters (src/obs/export.cpp) ---
 
 /// Full registry dump: counters/gauges/histograms + snapshot series +
-/// trace-ring summary. Always valid JSON, also with PHFTL_OBS=OFF (the
-/// stub emits {"phftl_obs": false, ...}).
+/// trace-ring summary.
 std::string metrics_to_json(const Observability& obs);
 
 /// Flat CSV: name,type,unit,field,value — histograms emit one row per

@@ -15,10 +15,6 @@
 #include <cstdint>
 #include <vector>
 
-#ifndef PHFTL_OBS_ENABLED
-#define PHFTL_OBS_ENABLED 1
-#endif
-
 namespace phftl::obs {
 
 enum class TraceEventType : std::uint8_t {
@@ -91,8 +87,6 @@ struct TraceEvent {
   TraceEventType type = TraceEventType::kGcRoundBegin;
 };
 
-#if PHFTL_OBS_ENABLED
-
 class TraceRecorder {
  public:
   TraceRecorder() = default;
@@ -144,23 +138,5 @@ class TraceRecorder {
   std::size_t head_ = 0;
   std::uint64_t total_ = 0;
 };
-
-#else  // PHFTL_OBS_ENABLED == 0
-
-class TraceRecorder {
- public:
-  void enable(std::size_t) {}
-  bool enabled() const { return false; }
-  void record(TraceEventType, std::uint64_t, std::uint64_t = 0,
-              std::uint64_t = 0, std::uint32_t = 0) {}
-  std::size_t capacity() const { return 0; }
-  std::size_t size() const { return 0; }
-  std::uint64_t total_recorded() const { return 0; }
-  std::uint64_t dropped() const { return 0; }
-  template <typename Fn>
-  void for_each(Fn&&) const {}
-};
-
-#endif  // PHFTL_OBS_ENABLED
 
 }  // namespace phftl::obs

@@ -180,7 +180,6 @@ TEST_P(GcPreemptTest, StopTheWorldNeverPreempts) {
 }
 
 TEST_P(GcPreemptTest, PreemptionMetricsAndTraceAreExported) {
-  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   const FtlConfig cfg = sliced_config(2);
   auto ftl = make_ftl(GetParam(), cfg);
   ftl->observability().trace().enable(4096);

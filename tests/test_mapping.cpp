@@ -37,7 +37,7 @@ FtlConfig tier_config() {
 //
 // The old admission check computed start_lpn + num_pages, which wraps for
 // start values near UINT64_MAX and let the request through as if it were
-// in range. Regression: such requests must abort, not wrap.
+// in range. Regression: such requests must be refused, not wrap.
 
 using MappingDeathTest = ::testing::Test;
 
@@ -50,13 +50,36 @@ TEST(MappingDeathTest, NearOverflowWriteSubmitAborts) {
   EXPECT_DEATH(ftl->submit(req), "beyond logical capacity");
 }
 
-TEST(MappingDeathTest, NearOverflowCheckedSubmitAborts) {
+// submit_checked() is the host-facing entry point: a bad request comes
+// back as kOutOfRange with nothing touched, instead of aborting.
+TEST(Mapping, CheckedSubmitRejectsBadRequests) {
   auto ftl = make_ftl("Base", small_config());
-  HostRequest req;
-  req.op = OpType::kRead;
-  req.start_lpn = std::numeric_limits<std::uint64_t>::max();
-  req.num_pages = 1;
-  EXPECT_DEATH(ftl->submit_checked(req), "beyond logical capacity");
+  WriteContext ctx;
+  ftl->write_page(3, ctx);
+  const FtlStats before = ftl->stats();
+  const std::uint64_t logical = ftl->logical_pages();
+  const std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
+  struct Bad {
+    OpType op;
+    std::uint64_t start;
+    std::uint32_t pages;
+  };
+  for (const Bad& b : {Bad{OpType::kRead, max, 1},
+                       Bad{OpType::kWrite, max - 2, 4},  // start + n wraps
+                       Bad{OpType::kTrim, logical - 1, 2},
+                       Bad{OpType::kWrite, logical, 1},
+                       Bad{OpType::kWrite, 0, 0}}) {
+    HostRequest req;
+    req.op = b.op;
+    req.start_lpn = b.start;
+    req.num_pages = b.pages;
+    const SubmitResult res = ftl->submit_checked(req);
+    EXPECT_EQ(res.status, WriteResult::kOutOfRange) << b.start;
+    EXPECT_EQ(res.pages_completed, 0u);
+  }
+  EXPECT_TRUE(ftl->stats() == before);
+  EXPECT_EQ(ftl->virtual_clock(), 1u);
+  EXPECT_EQ(ftl->mapped_page_count(), 1u);
 }
 
 TEST(MappingDeathTest, NearOverflowTrimAborts) {
@@ -88,13 +111,39 @@ TEST(MappingTier, UnmappedReadsAreCountedOnBothPaths) {
     EXPECT_EQ(ftl->read_page(7), 0u);
     EXPECT_EQ(ftl->stats().host_reads_unmapped, 2u);
 
-    if (obs::kEnabled) {
-      const auto* ctr = ftl->observability().metrics().find_counter(
-          "ftl.host_reads_unmapped");
-      ASSERT_NE(ctr, nullptr);
-      EXPECT_EQ(ctr->value(), 2u) << "tier=" << tier;
-    }
+    const auto* ctr = ftl->observability().metrics().find_counter(
+        "ftl.host_reads_unmapped");
+    ASSERT_NE(ctr, nullptr);
+    EXPECT_EQ(ctr->value(), 2u) << "tier=" << tier;
   }
+}
+
+// The read-amplification gauge charges the flash reads the host path paid
+// per host read; a zero-fill of an unmapped LPN reads no flash, so it
+// counts in the denominator only.
+TEST(MappingTier, ReadAmplificationCountsZeroFillsInDenominatorOnly) {
+  FtlConfig cfg = tier_config();
+  cfg.cmt_pages = 1;     // every other translation page evicts
+  cfg.cmt_wb_batch = 1;  // a dirty eviction writes through at once
+  auto ftl = make_ftl("Base", cfg);
+  const std::uint64_t tpe = ftl->tp_entries();
+  WriteContext ctx;
+  ftl->write_page(0, ctx);    // TP 0 resident and dirty
+  ftl->write_page(tpe, ctx);  // TP 1 evicts TP 0 to flash
+  EXPECT_EQ(ftl->read_page(0), 0x5bd1e995ULL);  // fetch TP 0: 2 flash reads
+  EXPECT_EQ(ftl->read_page(1), 0u);        // never written, TP 0 resident
+  EXPECT_EQ(ftl->read_page(2 * tpe), 0u);  // never-written TP: no fetch
+  const FtlStats& s = ftl->stats();
+  ASSERT_EQ(s.host_reads, 1u);
+  ASSERT_EQ(s.host_reads_unmapped, 2u);
+  ASSERT_EQ(s.trans_reads_host, 1u);
+  ASSERT_EQ(s.learned_probe_reads_host, 0u);
+  ftl->refresh_observability();
+  const auto* gauge = ftl->observability().metrics().find_gauge(
+      "ftl.map.read_amplification");
+  ASSERT_NE(gauge, nullptr);
+  EXPECT_DOUBLE_EQ(gauge->value(), 2.0 / 3.0);  // (1 + 1) / (1 + 2)
+  EXPECT_EQ(gauge->value(), s.read_amplification());
 }
 
 // --- tentpole: demand-paged lookups serve from flash-resident truth ---

@@ -1,9 +1,5 @@
-// Observability layer: registry semantics, histogram bucket edges, trace
-// ring wraparound, exporter goldens, and the PHFTL_OBS=OFF stub contract.
-//
-// The file compiles in both modes: sections that assert on real storage
-// are guarded by PHFTL_OBS_ENABLED; the remainder checks that the stub API
-// stays callable and the exporters still emit valid output.
+// Observability layer: registry semantics, read-through counters,
+// histogram bucket edges, trace ring wraparound, and exporter goldens.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -21,14 +17,9 @@ TEST(Metrics, CounterAndGauge) {
   c.add(4);
   Gauge& g = m.gauge("a.gauge", "ratio");
   g.set(0.5);
-#if PHFTL_OBS_ENABLED
   EXPECT_EQ(c.value(), 5u);
   EXPECT_DOUBLE_EQ(g.value(), 0.5);
   EXPECT_EQ(m.size(), 2u);
-#else
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(m.size(), 0u);
-#endif
 }
 
 TEST(Metrics, RegistrationIsIdempotentWithStableReferences) {
@@ -40,7 +31,6 @@ TEST(Metrics, RegistrationIsIdempotentWithStableReferences) {
     m.counter("filler." + std::to_string(i)).inc();
   Counter& again = m.counter("x");
   EXPECT_EQ(&first, &again);
-#if PHFTL_OBS_ENABLED
   EXPECT_EQ(again.value(), 1u);
   EXPECT_EQ(m.size(), 101u);
   // Lookup resolves by name and respects the type.
@@ -50,7 +40,34 @@ TEST(Metrics, RegistrationIsIdempotentWithStableReferences) {
   // Entries keep registration order.
   EXPECT_EQ(m.entries().front().name, "x");
   EXPECT_EQ(m.entries().back().name, "filler.99");
-#endif
+}
+
+TEST(Metrics, ReadThroughCounterReadsItsSource) {
+  Observability obs;
+  std::uint64_t field = 3;
+  const Counter& c = obs.metrics().counter("rt", field, "pages", "a view");
+  EXPECT_EQ(c.value(), 3u);
+  field = 9;
+  EXPECT_EQ(c.value(), 9u);
+  EXPECT_EQ(obs.metrics().find_counter("rt"), &c);
+  EXPECT_EQ(&obs.metrics().counter("rt", field), &c);  // idempotent
+  // Snapshots and exporters read the field at the moment they run.
+  obs.take_snapshot(1);
+  field = 11;
+  EXPECT_DOUBLE_EQ(obs.snapshots().at(0).values.at(0), 9.0);
+  EXPECT_EQ(metrics_to_csv(obs),
+            "name,type,unit,field,value\nrt,counter,pages,value,11\n");
+}
+
+TEST(MetricsDeathTest, ReadThroughCounterKeepsOneSource) {
+  MetricsRegistry m;
+  std::uint64_t field = 0;
+  std::uint64_t other = 0;
+  m.counter("rt", field);
+  EXPECT_DEATH(m.counter("rt"), "read-through");
+  EXPECT_DEATH(m.counter("rt", other), "different source");
+  m.counter("owned");
+  EXPECT_DEATH(m.counter("owned", field), "different source");
 }
 
 TEST(Metrics, HistogramBucketEdges) {
@@ -63,7 +80,6 @@ TEST(Metrics, HistogramBucketEdges) {
   h.observe(11);   // <= 20            -> bucket 1
   h.observe(40);   // == 40, inclusive -> bucket 2
   h.observe(41);   // > 40             -> overflow
-#if PHFTL_OBS_ENABLED
   EXPECT_EQ(h.bucket_count(0), 2u);
   EXPECT_EQ(h.bucket_count(1), 1u);
   EXPECT_EQ(h.bucket_count(2), 1u);
@@ -73,9 +89,6 @@ TEST(Metrics, HistogramBucketEdges) {
   EXPECT_DOUBLE_EQ(h.min(), 5.0);
   EXPECT_DOUBLE_EQ(h.max(), 41.0);
   EXPECT_DOUBLE_EQ(h.mean(), 107.0 / 5.0);
-#else
-  EXPECT_EQ(h.count(), 0u);
-#endif
 }
 
 TEST(Trace, RingWraparoundKeepsNewestEvents) {
@@ -87,7 +100,6 @@ TEST(Trace, RingWraparoundKeepsNewestEvents) {
   t.enable(4);
   for (std::uint64_t i = 0; i < 10; ++i)
     t.record(TraceEventType::kFlashProgram, i, /*a=*/i);
-#if PHFTL_OBS_ENABLED
   EXPECT_TRUE(t.enabled());
   EXPECT_EQ(t.capacity(), 4u);
   EXPECT_EQ(t.size(), 4u);
@@ -97,10 +109,6 @@ TEST(Trace, RingWraparoundKeepsNewestEvents) {
   std::vector<std::uint64_t> seen;
   t.for_each([&](const TraceEvent& e) { seen.push_back(e.a); });
   EXPECT_EQ(seen, (std::vector<std::uint64_t>{6, 7, 8, 9}));
-#else
-  EXPECT_FALSE(t.enabled());
-  EXPECT_EQ(t.size(), 0u);
-#endif
 }
 
 TEST(Trace, PartiallyFilledRingInOrder) {
@@ -108,13 +116,11 @@ TEST(Trace, PartiallyFilledRingInOrder) {
   t.enable(8);
   for (std::uint64_t i = 0; i < 3; ++i)
     t.record(TraceEventType::kFlashErase, i, i);
-#if PHFTL_OBS_ENABLED
   EXPECT_EQ(t.size(), 3u);
   EXPECT_EQ(t.dropped(), 0u);
   std::vector<std::uint64_t> seen;
   t.for_each([&](const TraceEvent& e) { seen.push_back(e.a); });
   EXPECT_EQ(seen, (std::vector<std::uint64_t>{0, 1, 2}));
-#endif
 }
 
 TEST(Snapshots, CadenceSampling) {
@@ -125,19 +131,13 @@ TEST(Snapshots, CadenceSampling) {
     c.inc();
     obs.tick(now);
   }
-#if PHFTL_OBS_ENABLED
   // Samples at the first ticks crossing 10 and 20.
   ASSERT_EQ(obs.snapshots().size(), 2u);
   EXPECT_EQ(obs.snapshots()[0].now, 10u);
   EXPECT_EQ(obs.snapshots()[1].now, 20u);
   EXPECT_DOUBLE_EQ(obs.snapshots()[0].values.at(0), 10.0);
   EXPECT_DOUBLE_EQ(obs.snapshots()[1].values.at(0), 20.0);
-#else
-  EXPECT_TRUE(obs.snapshots().empty());
-#endif
 }
-
-#if PHFTL_OBS_ENABLED
 
 TEST(Export, JsonGolden) {
   Observability obs;
@@ -207,19 +207,6 @@ TEST(Export, ChromeTraceEvents) {
             std::string::npos);
   EXPECT_NE(out.find("\"valid_pages\": 40"), std::string::npos);
 }
-
-#else  // stub mode: exporters still emit valid, marked output
-
-TEST(Export, StubJsonStillValid) {
-  Observability obs;
-  obs.metrics().counter("ignored").inc();
-  const std::string out = metrics_to_json(obs);
-  EXPECT_NE(out.find("\"phftl_obs\": false"), std::string::npos);
-  EXPECT_NE(out.find("\"counters\": {}"), std::string::npos);
-  EXPECT_EQ(metrics_to_csv(obs), "name,type,unit,field,value\n");
-}
-
-#endif  // PHFTL_OBS_ENABLED
 
 TEST(Export, WriteTextFileRoundTrip) {
   const std::string path = ::testing::TempDir() + "phftl_obs_test.txt";

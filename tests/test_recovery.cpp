@@ -700,7 +700,6 @@ TEST_P(RecoveryTest, WatermarkRejectsWritesCleanlyUnderEraseStorm) {
 }
 
 TEST_P(RecoveryTest, RecoveryAndFaultMetricsAreExported) {
-  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   FtlConfig cfg = fault_config();
   FaultInjector::Config fc;
   FaultInjector injector(fc);

@@ -220,7 +220,6 @@ TEST_P(WearTest, RecoveryRederivesEraseCountLowerBounds) {
 }
 
 TEST_P(WearTest, WearMetricsAndTraceAreExported) {
-  if (!obs::kEnabled) GTEST_SKIP() << "observability compiled out";
   FtlConfig cfg = small_config();
   cfg.wear_level_threshold = 4;
   auto ftl = make_ftl(GetParam(), cfg);
