@@ -8,6 +8,9 @@
 //  * train_epoch — one GRU BPTT epoch per training window. Order-preserving
 //    AVX2 float kernels vs tensor.hpp's scalar loops; both train the same
 //    weights bit for bit.
+//  * activations — the sigmoid/tanh pair every GRU step runs, dispatched
+//    (AVX2) vs the bit-equal scalar body, over one gate (32 lanes) and a
+//    whole predict step's worth (96 lanes).
 //  * GC victim selection — greedy via the incremental victim index (O(1)
 //    pop) and Adjusted Greedy via the bounded ascending-bucket scan, vs
 //    the historical full superblock scan. Run at 1k and 10k superblocks:
@@ -131,6 +134,36 @@ void BM_TrainEpochReference(benchmark::State& state) {
   train_epoch_bench<true>(state);
 }
 BENCHMARK(BM_TrainEpochReference)->Unit(benchmark::kMillisecond);
+
+// --- Activations: dispatched vector body vs the scalar body ---
+
+// Args: lanes, dispatched (0 = scalar body). One iteration is a sigmoid
+// call and a tanh call over `lanes` values in place; the values stay in
+// (-1, 1), where the cost does not depend on them.
+void BM_Activations(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const bool dispatched = state.range(1) != 0;
+  Xoshiro256 rng(12);
+  std::vector<float> v(n);
+  for (auto& x : v) x = static_cast<float>(rng.next_double() * 8.0 - 4.0);
+  for (auto _ : state) {
+    if (dispatched) {
+      ml::kernels::sigmoid_f32(v.data(), n);
+      ml::kernels::tanh_f32(v.data(), n);
+    } else {
+      for (auto& x : v) x = ml::kernels::sigmoid_scalar(x);
+      for (auto& x : v) x = ml::kernels::tanh_scalar(x);
+    }
+    benchmark::DoNotOptimize(v.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 *
+                          static_cast<std::int64_t>(n));
+  state.counters["avx2"] =
+      dispatched && ml::kernels::activations_use_avx2() ? 1 : 0;
+}
+BENCHMARK(BM_Activations)
+    ->ArgNames({"lanes", "dispatched"})
+    ->ArgsProduct({{32, 96}, {0, 1}});
 
 // --- Raw GEMV: fused triple-pass vs three naive passes ---
 

@@ -4,7 +4,8 @@
 //   * O(1) incremental prediction from a cached hidden state vs O(N)
 //     recomputation of the full feature sequence,
 //   * int8-quantized inference vs float inference,
-//   * the cost of one window's training epoch and threshold adjustment.
+//   * the cost of one window's threshold adjustment and LogReg fit.
+// bench_kernels times one window's GRU training epoch.
 // The paper tunes one int8 prediction to ~9 µs on a Cortex-A9; on a host
 // CPU the same kernel runs in well under a microsecond.
 #include <benchmark/benchmark.h>
@@ -92,22 +93,6 @@ void BM_Quantization(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Quantization);
-
-void BM_TrainEpoch(benchmark::State& state) {
-  auto model = make_model();
-  Xoshiro256 rng(5);
-  std::vector<ml::Sequence> data;
-  for (std::int64_t i = 0; i < state.range(0); ++i) {
-    ml::Sequence s;
-    for (int t = 0; t < 8; ++t) s.steps.push_back(random_input(rng));
-    s.label = static_cast<int>(rng.next_below(2));
-    data.push_back(std::move(s));
-  }
-  Xoshiro256 train_rng(6);
-  for (auto _ : state)
-    benchmark::DoNotOptimize(model.train_epoch(data, 32, train_rng));
-}
-BENCHMARK(BM_TrainEpoch)->Arg(128)->Arg(512)->Unit(benchmark::kMillisecond);
 
 void BM_ThresholdAdjustment(benchmark::State& state) {
   Xoshiro256 rng(7);

@@ -298,8 +298,8 @@ ReplayOutcome run_replay(const std::string& scheme, const Trace& trace,
         "already pays them)\n"
         "  translation reads     %llu (%llu on the host read path)\n"
         "  CMT                   %llu resident, %.2f%% hit rate\n"
-        "  read amplification    %.3f ((host + demand fetches + wasted "
-        "probes) / host)\n"
+        "  read amplification    %.3f ((mapped host reads + demand fetches "
+        "+ wasted probes) / all host reads)\n"
         "  mapping RAM           %llu B vs %llu B flat (%.1fx smaller)\n",
         static_cast<unsigned long long>(ftl->num_translation_pages()),
         static_cast<unsigned long long>(ftl->tp_entries()),

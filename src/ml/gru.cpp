@@ -10,12 +10,13 @@ namespace phftl::ml {
 
 namespace {
 
-// The matrix loops of backward_impl and accumulate_gate_grads.
-// ReferenceOps is tensor.hpp's scalar code on the row-major weights, the
-// parity reference. KernelOps runs the dispatched kernels (kernels.hpp);
-// their gate matvecs read the transposed weights in Workspace::gates_t.
-// Both apply the same float operations in the same order to every
-// element, so they train bit-identical weights.
+// The matrix loops and activations of backward_impl and
+// accumulate_gate_grads. ReferenceOps is tensor.hpp's scalar code on the
+// row-major weights and the scalar activation bodies, the parity
+// reference. KernelOps runs the dispatched kernels (kernels.hpp); their
+// gate matvecs read the transposed weights in Workspace::gates_t. Both
+// apply the same float operations in the same order to every element, so
+// they train bit-identical weights.
 struct ReferenceOps {
   static void matvec(ConstMatView w, const float* /*wt*/,
                      std::span<const float> x, std::span<float> y) {
@@ -35,6 +36,12 @@ struct ReferenceOps {
   static void matvec_transpose_acc(ConstMatView w, std::span<const float> g,
                                    std::span<float> xg) {
     ml::matvec_transpose_acc(w, g, xg);
+  }
+  static void sigmoid(std::span<float> v) {
+    for (auto& e : v) e = kernels::sigmoid_scalar(e);
+  }
+  static void tanh(std::span<float> v) {
+    for (auto& e : v) e = kernels::tanh_scalar(e);
   }
 };
 
@@ -58,6 +65,12 @@ struct KernelOps {
     PHFTL_CHECK(w.rows == g.size() && w.cols == xg.size());
     kernels::matvec_transpose_acc_f32(w.data, w.rows, w.cols, g.data(),
                                       xg.data());
+  }
+  static void sigmoid(std::span<float> v) {
+    kernels::sigmoid_f32(v.data(), v.size());
+  }
+  static void tanh(std::span<float> v) {
+    kernels::tanh_f32(v.data(), v.size());
   }
 };
 
@@ -135,18 +148,19 @@ void GruClassifier::step(std::span<const float> x,
   matvec(store_.param_matrix(wz_), x, z);
   matvec_acc(store_.param_matrix(uz_), h_prev, z);
   axpy(1.0f, store_.param_vector(bz_), z);
-  for (auto& v : z) v = sigmoidf(v);
+  kernels::sigmoid_f32(z.data(), h);
 
   matvec(store_.param_matrix(wr_), x, r);
   matvec_acc(store_.param_matrix(ur_), h_prev, r);
   axpy(1.0f, store_.param_vector(br_), r);
-  for (auto& v : r) v = sigmoidf(v);
+  kernels::sigmoid_f32(r.data(), h);
 
   matvec(store_.param_matrix(un_), h_prev, s);
   axpy(1.0f, store_.param_vector(bun_), s);
   matvec(store_.param_matrix(wn_), x, n);
   axpy(1.0f, store_.param_vector(bn_), n);
-  for (std::size_t i = 0; i < h; ++i) n[i] = std::tanh(n[i] + r[i] * s[i]);
+  for (std::size_t i = 0; i < h; ++i) n[i] += r[i] * s[i];
+  kernels::tanh_f32(n.data(), h);
 
   for (std::size_t i = 0; i < h; ++i)
     h_next[i] = (1.0f - z[i]) * n[i] + z[i] * h_prev[i];
@@ -213,19 +227,19 @@ float GruClassifier::backward_impl(const Sequence& seq) {
     Ops::matvec(store_.param_matrix(wz_), wz_t, x, a.z);
     Ops::matvec_acc(store_.param_matrix(uz_), uz_t, h_prev, a.z);
     axpy(1.0f, store_.param_vector(bz_), a.z);
-    for (auto& v : a.z) v = sigmoidf(v);
+    Ops::sigmoid(a.z);
 
     Ops::matvec(store_.param_matrix(wr_), wr_t, x, a.r);
     Ops::matvec_acc(store_.param_matrix(ur_), ur_t, h_prev, a.r);
     axpy(1.0f, store_.param_vector(br_), a.r);
-    for (auto& v : a.r) v = sigmoidf(v);
+    Ops::sigmoid(a.r);
 
     Ops::matvec(store_.param_matrix(un_), un_t, h_prev, a.s);
     axpy(1.0f, store_.param_vector(bun_), a.s);
     Ops::matvec(store_.param_matrix(wn_), wn_t, x, a.n);
     axpy(1.0f, store_.param_vector(bn_), a.n);
-    for (std::size_t i = 0; i < hd; ++i)
-      a.n[i] = std::tanh(a.n[i] + a.r[i] * a.s[i]);
+    for (std::size_t i = 0; i < hd; ++i) a.n[i] += a.r[i] * a.s[i];
+    Ops::tanh(a.n);
 
     for (std::size_t i = 0; i < hd; ++i)
       a.h[i] = (1.0f - a.z[i]) * a.n[i] + a.z[i] * h_prev[i];

@@ -338,4 +338,133 @@ void matvec_transpose_acc_f32(const float* w, std::size_t rows,
 
 bool train_kernels_use_avx2() { return g_train.avx2; }
 
+// ---- Activations ----
+
+namespace {
+
+// tanh(x) ≈ x·P(x²) / Q(x²) on [-kTanhClamp, kTanhClamp] (Eigen's float
+// coefficients). Evaluated without FMA the quotient is exactly 1 at the
+// clamp.
+constexpr float kTanhClamp = 7.90531110763549805f;
+constexpr float kP13 = -2.76076847742355e-16f;
+constexpr float kP11 = 2.00018790482477e-13f;
+constexpr float kP9 = -8.60467152213735e-11f;
+constexpr float kP7 = 5.12229709037114e-08f;
+constexpr float kP5 = 1.48572235717979e-05f;
+constexpr float kP3 = 6.37261928875436e-04f;
+constexpr float kP1 = 4.89352455891786e-03f;
+constexpr float kQ6 = 1.19825839466702e-06f;
+constexpr float kQ4 = 1.18534705686654e-04f;
+constexpr float kQ2 = 2.26843463243900e-03f;
+constexpr float kQ0 = 4.89352518554385e-03f;
+
+#if PHFTL_KERNELS_X86
+
+// a * b + c, rounded twice.
+#ifndef __AVX2__
+__attribute__((target("avx2")))
+#endif
+inline __m256 mul_add(__m256 a, __m256 b, float c) {
+  return _mm256_add_ps(_mm256_mul_ps(a, b), _mm256_set1_ps(c));
+}
+
+// The scalar body's operations, one lane per element. min_ps(c, x) and
+// max_ps(-c, x) return x when it is NaN, like the scalar comparisons.
+#ifndef __AVX2__
+__attribute__((target("avx2")))
+#endif
+inline __m256 tanh8(__m256 x) {
+  x = _mm256_min_ps(_mm256_set1_ps(kTanhClamp), x);
+  x = _mm256_max_ps(_mm256_set1_ps(-kTanhClamp), x);
+  const __m256 x2 = _mm256_mul_ps(x, x);
+  __m256 p = mul_add(x2, _mm256_set1_ps(kP13), kP11);
+  p = mul_add(x2, p, kP9);
+  p = mul_add(x2, p, kP7);
+  p = mul_add(x2, p, kP5);
+  p = mul_add(x2, p, kP3);
+  p = mul_add(x2, p, kP1);
+  p = _mm256_mul_ps(x, p);
+  __m256 q = mul_add(x2, _mm256_set1_ps(kQ6), kQ4);
+  q = mul_add(x2, q, kQ2);
+  q = mul_add(x2, q, kQ0);
+  return _mm256_div_ps(p, q);
+}
+
+#ifndef __AVX2__
+__attribute__((target("avx2")))
+#endif
+inline __m256 sigmoid8(__m256 x) {
+  const __m256 half = _mm256_set1_ps(0.5f);
+  return _mm256_add_ps(
+      _mm256_mul_ps(half, tanh8(_mm256_mul_ps(half, x))), half);
+}
+
+// Whole vectors in AVX2, the tail through the bit-equal scalar body.
+template <bool kSigmoid>
+#ifndef __AVX2__
+__attribute__((target("avx2")))
+#endif
+void activate_avx2(float* v, std::size_t n) {
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 x = _mm256_loadu_ps(v + i);
+    _mm256_storeu_ps(v + i, kSigmoid ? sigmoid8(x) : tanh8(x));
+  }
+  for (; i < n; ++i) v[i] = kSigmoid ? sigmoid_scalar(v[i]) : tanh_scalar(v[i]);
+}
+
+#endif  // PHFTL_KERNELS_X86
+
+template <float (*Scalar)(float)>
+void activate_scalar(float* v, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) v[i] = Scalar(v[i]);
+}
+
+using ActivateFn = void (*)(float*, std::size_t);
+
+struct ActivationKernels {
+  ActivateFn tanh;
+  ActivateFn sigmoid;
+  bool avx2;
+};
+
+ActivationKernels resolve_activations() {
+#if PHFTL_KERNELS_X86
+  if (__builtin_cpu_supports("avx2"))
+    return {activate_avx2<false>, activate_avx2<true>, true};
+#endif
+  return {activate_scalar<tanh_scalar>, activate_scalar<sigmoid_scalar>,
+          false};
+}
+
+const ActivationKernels g_act = resolve_activations();
+
+}  // namespace
+
+float tanh_scalar(float x) {
+  // `x > c` and `x < -c` are false for NaN, which passes through.
+  if (x > kTanhClamp) x = kTanhClamp;
+  if (x < -kTanhClamp) x = -kTanhClamp;
+  const float x2 = x * x;
+  float p = x2 * kP13 + kP11;
+  p = x2 * p + kP9;
+  p = x2 * p + kP7;
+  p = x2 * p + kP5;
+  p = x2 * p + kP3;
+  p = x2 * p + kP1;
+  p = x * p;
+  float q = x2 * kQ6 + kQ4;
+  q = x2 * q + kQ2;
+  q = x2 * q + kQ0;
+  return p / q;
+}
+
+float sigmoid_scalar(float x) { return 0.5f * tanh_scalar(0.5f * x) + 0.5f; }
+
+void tanh_f32(float* v, std::size_t n) { g_act.tanh(v, n); }
+
+void sigmoid_f32(float* v, std::size_t n) { g_act.sigmoid(v, n); }
+
+bool activations_use_avx2() { return g_act.avx2; }
+
 }  // namespace phftl::ml::kernels

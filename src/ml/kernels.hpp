@@ -45,6 +45,35 @@
 //
 // Trained weights, the int8 model deployed from them and every simulated
 // metric are therefore identical whichever path the dispatcher picks.
+//
+// ## Activations (every model in src/ml)
+//
+// tanh and sigmoid are the only transcendental functions on the GRU's
+// predict and training paths, and libm's scalar expf/tanhf cost more than
+// the GEMVs of an int8 step. Every GRU path (the int8 step, the float
+// forward pass and BPTT, and both parity references) and LogReg take them
+// from here instead, one fixed approximation with a scalar and an AVX2
+// body that return the same bits for every input:
+//
+//  * tanh(x) = x·P(x²) / Q(x²) with x clamped to ±7.90531110763549805:
+//    the odd rational minimax form Eigen uses for float, a degree-13
+//    numerator over a degree-6 denominator. Both polynomials run Horner's
+//    rule with separate multiply and add (never FMA), and the quotient is
+//    an IEEE division, so a lane performs exactly the scalar body's float
+//    operations. Unfused, the rational reaches exactly ±1 at the clamp;
+//  * sigmoid(x) = 0.5·tanh(0.5·x) + 0.5;
+//  * range: tanh ∈ [-1, 1] and sigmoid ∈ [0, 1] for every non-NaN input,
+//    which the int8 hidden-state scale in qgru.hpp relies on;
+//  * error: at most 2e-6 absolute against double-precision tanh and the
+//    logistic function (tests pin it). Training and the deployed model
+//    therefore differ from a libm build in the last bits only;
+//  * specials: ±0 → ±0 (sigmoid 0.5), ±inf and ±FLT_MAX → ±1 (sigmoid
+//    1 / 0), denormals pass through the polynomial like any other input,
+//    and a NaN comes back as the same NaN, quieted. The clamp compares
+//    `clamp < x`, so a NaN is never replaced by the clamp value.
+//
+// The dispatcher picks the body on the same CPU check as the other kernels.
+// A CPU without AVX2 gets identical bits, so WA never depends on the host.
 #pragma once
 
 #include <cstddef>
@@ -131,5 +160,21 @@ void matvec_transpose_acc_f32(const float* w, std::size_t rows,
 
 /// True when the runtime dispatcher selected the AVX2 training kernels.
 bool train_kernels_use_avx2();
+
+// ---- Activations (see the header comment for the rules). ----
+
+/// v[i] = tanh(v[i]) for i < n, in place.
+void tanh_f32(float* v, std::size_t n);
+
+/// v[i] = sigmoid(v[i]) for i < n, in place.
+void sigmoid_f32(float* v, std::size_t n);
+
+/// The scalar bodies. Each returns exactly what the vector calls above
+/// store for the same input, on every CPU.
+float tanh_scalar(float x);
+float sigmoid_scalar(float x);
+
+/// True when the runtime dispatcher selected the AVX2 activation body.
+bool activations_use_avx2();
 
 }  // namespace phftl::ml::kernels

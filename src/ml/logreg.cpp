@@ -1,10 +1,9 @@
 #include "ml/logreg.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
-#include "ml/tensor.hpp"
+#include "ml/kernels.hpp"
 #include "util/assert.hpp"
 
 namespace phftl::ml {
@@ -16,7 +15,7 @@ float LogisticRegression::predict_proba(std::span<const float> x) const {
   PHFTL_CHECK(x.size() == w_.size());
   float acc = b_;
   for (std::size_t i = 0; i < x.size(); ++i) acc += w_[i] * x[i];
-  return sigmoidf(acc);
+  return kernels::sigmoid_scalar(acc);
 }
 
 void LogisticRegression::fit(const std::vector<std::vector<float>>& features,

@@ -61,8 +61,7 @@ QuantizedGru::QuantizedGru(const GruClassifier& model)
   scratch_.hq.assign(u_packed_.stride, 0);
   scratch_.ax.resize(3 * hidden_dim_);
   scratch_.ah.resize(3 * hidden_dim_);
-  scratch_.z.resize(hidden_dim_);
-  scratch_.r.resize(hidden_dim_);
+  scratch_.zr.resize(2 * hidden_dim_);
   scratch_.n.resize(hidden_dim_);
   scratch_.h_new.resize(hidden_dim_);
 }
@@ -113,23 +112,30 @@ int QuantizedGru::predict_incremental(std::span<const float> x,
   kernels::fused_gemv3_i8(u_packed_, s.hq.data(), uz, ur, un);
 
   // Combine with exactly the reference path's float expressions (term
-  // order preserved) so the result is bit-exact against it.
+  // order preserved) so the result is bit-exact against it. z and r are
+  // adjacent in s.zr, so one vector call activates both.
+  float* z = s.zr.data();
+  float* r = z + h;
   for (std::size_t i = 0; i < h; ++i) {
-    s.z[i] = sigmoidf(static_cast<float>(az[i]) * wz_.scale * x_scale +
-                      static_cast<float>(uz[i]) * uz_.scale * kHiddenScale +
-                      bz_[i]);
-    s.r[i] = sigmoidf(static_cast<float>(ar[i]) * wr_.scale * x_scale +
-                      static_cast<float>(ur[i]) * ur_.scale * kHiddenScale +
-                      br_[i]);
-    // Candidate gate: n = tanh(Wn x + bn + r ⊙ (Un h + bun)).
+    z[i] = static_cast<float>(az[i]) * wz_.scale * x_scale +
+           static_cast<float>(uz[i]) * uz_.scale * kHiddenScale + bz_[i];
+    r[i] = static_cast<float>(ar[i]) * wr_.scale * x_scale +
+           static_cast<float>(ur[i]) * ur_.scale * kHiddenScale + br_[i];
+  }
+  kernels::sigmoid_f32(z, 2 * h);
+  // Candidate gate: n = tanh(Wn x + bn + r ⊙ (Un h + bun)).
+  for (std::size_t i = 0; i < h; ++i) {
     const float sn =
         static_cast<float>(un[i]) * un_.scale * kHiddenScale + bun_[i];
-    s.n[i] = std::tanh(static_cast<float>(an[i]) * wn_.scale * x_scale +
-                       bn_[i] + s.r[i] * sn);
-    const float h_prev = static_cast<float>(h_inout[i]) * kHiddenScale;
-    s.h_new[i] = (1.0f - s.z[i]) * s.n[i] + s.z[i] * h_prev;
+    s.n[i] = static_cast<float>(an[i]) * wn_.scale * x_scale + bn_[i] +
+             r[i] * sn;
   }
-  for (std::size_t i = 0; i < h; ++i) h_inout[i] = quantize_hidden(s.h_new[i]);
+  kernels::tanh_f32(s.n.data(), h);
+  for (std::size_t i = 0; i < h; ++i) {
+    const float h_prev = static_cast<float>(h_inout[i]) * kHiddenScale;
+    s.h_new[i] = (1.0f - z[i]) * s.n[i] + z[i] * h_prev;
+    h_inout[i] = quantize_hidden(s.h_new[i]);
+  }
 
   // Classification head (pre-dequantized int8 weights, float hidden for
   // best fidelity). Class 1 (short-living) carries the decision-prior bias.
@@ -158,9 +164,9 @@ int QuantizedGru::predict_incremental_reference(
   std::vector<float> z(hidden_dim_), r(hidden_dim_), n(hidden_dim_),
       s(hidden_dim_);
   gate_preact(wz_, uz_, xq, h_inout, bz_, z);
-  for (auto& v : z) v = sigmoidf(v);
+  for (auto& v : z) v = kernels::sigmoid_scalar(v);
   gate_preact(wr_, ur_, xq, h_inout, br_, r);
-  for (auto& v : r) v = sigmoidf(v);
+  for (auto& v : r) v = kernels::sigmoid_scalar(v);
 
   // Candidate gate: n = tanh(Wn x + bn + r ⊙ (Un h + bun)).
   const float x_scale = 1.0f / 127.0f;
@@ -174,9 +180,10 @@ int QuantizedGru::predict_incremental_reference(
     for (std::size_t c = 0; c < un_.cols; ++c)
       acc_h += static_cast<std::int32_t>(ur[c]) * h_inout[c];
     s[row] = static_cast<float>(acc_h) * un_.scale * kHiddenScale + bun_[row];
-    n[row] = std::tanh(static_cast<float>(acc_x) * wn_.scale * x_scale +
-                       bn_[row] + r[row] * s[row]);
+    n[row] = static_cast<float>(acc_x) * wn_.scale * x_scale + bn_[row] +
+             r[row] * s[row];
   }
+  for (auto& v : n) v = kernels::tanh_scalar(v);
 
   std::vector<float> h_new(hidden_dim_);
   for (std::size_t i = 0; i < hidden_dim_; ++i) {

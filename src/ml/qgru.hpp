@@ -7,18 +7,22 @@
 //  * per-tensor symmetric int8 weights (scale = max|w| / 127),
 //  * int8 hidden state with fixed scale 1/127 (valid because a GRU hidden
 //    state started from h0 = 0 is always a convex combination of tanh
-//    outputs, hence in (-1, 1)),
+//    outputs, hence in [-1, 1]; kernels.hpp's tanh never leaves [-1, 1]
+//    and its sigmoid never leaves [0, 1], so this holds exactly),
 //  * int32 accumulation, float gate nonlinearities — the same arithmetic a
 //    NEON/SIMD int8 kernel performs on the Cosmos+ controller.
 //
 // The hot path (predict_incremental, one call per host write) runs the six
 // gate GEMVs through the fused kernels in ml/kernels.hpp — the Wz/Wr/Wn and
 // Uz/Ur/Un triples are packed at deployment time and all scratch buffers
-// are preallocated, so a prediction performs no heap allocation. The
-// original scalar implementation is retained as
-// predict_incremental_reference(); the fused path is bit-exact against it
-// (integer accumulation is order-independent and the float combining
-// expressions are identical), which tests assert.
+// are preallocated, so a prediction performs no heap allocation. It then
+// activates the z and r pre-activations with one 2H-lane sigmoid call and
+// the candidate gate with one H-lane tanh call. The original scalar
+// implementation is retained as predict_incremental_reference(), which
+// activates element by element through the scalar bodies. The fused path
+// is bit-exact against it (integer accumulation is order-independent, the
+// float combining expressions are identical and the activation bodies
+// agree bit for bit), which tests assert.
 #pragma once
 
 #include <cstdint>
@@ -135,7 +139,7 @@ class QuantizedGru {
   struct Scratch {
     std::vector<std::int8_t> xq, hq;        // stride-padded, tails stay 0
     std::vector<std::int32_t> ax, ah;       // 3 x H gate accumulators
-    std::vector<float> z, r, n, h_new;
+    std::vector<float> zr, n, h_new;        // zr: z gate, then r gate
   };
   mutable Scratch scratch_;
 };

@@ -6,7 +6,8 @@
 // serial float sums, and the compiler may not reassociate them, so they do
 // not vectorize. GRU training runs the order-preserving SIMD kernels in
 // kernels.hpp instead, and these loops are their bit-exact parity
-// reference (GruClassifier::train_epoch_reference).
+// reference (GruClassifier::train_epoch_reference). The activations
+// (sigmoid, tanh) are in kernels.hpp.
 #pragma once
 
 #include <cmath>
@@ -120,8 +121,6 @@ inline void softmax(std::span<float> x) {
   }
   for (auto& v : x) v /= sum;
 }
-
-inline float sigmoidf(float x) { return 1.0f / (1.0f + std::exp(-x)); }
 
 /// Owned matrix with contiguous storage.
 class Mat {

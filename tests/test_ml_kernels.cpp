@@ -5,10 +5,15 @@
 // or AVX2) runs — these tests assert that, both at the GEMV level and
 // end-to-end through QuantizedGru::predict_incremental. The float training
 // kernels keep every output element's operation order, so they too must
-// match tensor.hpp's loops bit for bit, tails and zero rows included.
+// match tensor.hpp's loops bit for bit, tails and zero rows included. The
+// activations' vector body must return the scalar body's bits for every
+// input, specials included, and stay within a pinned error of libm.
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "ml/gru.hpp"
@@ -254,6 +259,103 @@ TEST(TrainKernels, AllZeroGradientRowsLeaveOutputsUntouched) {
                                       xg.data());
     EXPECT_TRUE(bit_equal(xg, xg0)) << "transpose " << rows << "x" << cols;
   }
+}
+
+// ---- Activations ----
+
+// kernels.cpp's tanh clamp, where the rational reaches exactly ±1.
+constexpr float kTanhClamp = 7.90531110763549805f;
+
+/// The special inputs, then a dense grid over [-20, 20]. The specials
+/// come first so they fill whole vectors, not the scalar tail: signed
+/// zeros, denormals, both sides of the tanh clamp and of sigmoid's (twice
+/// the tanh clamp), ±FLT_MAX, ±inf and NaNs.
+std::vector<float> activation_inputs() {
+  std::vector<float> v;
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const float x :
+       {0.0f, FLT_TRUE_MIN, FLT_MIN / 2, FLT_MIN, kTanhClamp,
+        std::nextafter(kTanhClamp, 0.0f), std::nextafter(kTanhClamp, inf),
+        2 * kTanhClamp, std::nextafter(2 * kTanhClamp, 0.0f),
+        std::nextafter(2 * kTanhClamp, inf), FLT_MAX, inf, nan}) {
+    v.push_back(x);
+    v.push_back(-x);
+  }
+  v.push_back(std::numeric_limits<float>::signaling_NaN());
+  constexpr int kSteps = 1 << 17;
+  for (int i = 0; i <= kSteps; ++i)
+    v.push_back(-20.0f + 40.0f * static_cast<float>(i) / kSteps);
+  return v;
+}
+
+/// One vector call over all of `in`.
+std::vector<float> activate(const std::vector<float>& in, bool sigmoid) {
+  std::vector<float> out = in;
+  if (sigmoid) kernels::sigmoid_f32(out.data(), out.size());
+  else kernels::tanh_f32(out.data(), out.size());
+  return out;
+}
+
+TEST(Activations, VectorBodyMatchesScalarBodyBitForBit) {
+  const auto in = activation_inputs();
+  ASSERT_NE(in.size() % 8, 0u);  // a partial last vector runs too
+  for (const bool sigmoid : {false, true}) {
+    const auto out = activate(in, sigmoid);
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      const float ref = sigmoid ? kernels::sigmoid_scalar(in[i])
+                                : kernels::tanh_scalar(in[i]);
+      ASSERT_EQ(0, std::memcmp(&out[i], &ref, sizeof(float)))
+          << (sigmoid ? "sigmoid(" : "tanh(") << in[i] << "): vector "
+          << out[i] << " scalar " << ref << " (avx2 "
+          << kernels::activations_use_avx2() << ")";
+    }
+  }
+}
+
+TEST(Activations, MaxErrorAgainstDoubleLibmWithin2e6) {
+  double max_tanh = 0.0, max_sigmoid = 0.0;
+  for (const float x : activation_inputs()) {
+    if (std::isnan(x)) continue;
+    const double d = x;
+    max_tanh = std::max(
+        max_tanh, std::fabs(kernels::tanh_scalar(x) - std::tanh(d)));
+    max_sigmoid =
+        std::max(max_sigmoid, std::fabs(kernels::sigmoid_scalar(x) -
+                                        1.0 / (1.0 + std::exp(-d))));
+  }
+  EXPECT_LE(max_tanh, 2e-6);
+  EXPECT_LE(max_sigmoid, 2e-6);
+}
+
+TEST(Activations, RangeSymmetryAndSpecials) {
+  // qgru.hpp's int8 hidden state assumes |tanh| <= 1 and sigmoid in
+  // [0, 1], so that (1 - z) n + z h stays in [-1, 1].
+  const auto in = activation_inputs();
+  const auto t = activate(in, false);
+  const auto s = activate(in, true);
+  for (std::size_t i = 0; i < in.size(); ++i) {
+    if (std::isnan(in[i])) {
+      EXPECT_TRUE(std::isnan(t[i]) && std::isnan(s[i])) << i;
+      continue;
+    }
+    EXPECT_TRUE(t[i] >= -1.0f && t[i] <= 1.0f) << in[i] << " -> " << t[i];
+    EXPECT_TRUE(s[i] >= 0.0f && s[i] <= 1.0f) << in[i] << " -> " << s[i];
+    EXPECT_EQ(kernels::tanh_scalar(-in[i]), -t[i]) << in[i];
+  }
+  const float inf = std::numeric_limits<float>::infinity();
+  EXPECT_EQ(kernels::tanh_scalar(kTanhClamp), 1.0f);
+  EXPECT_EQ(kernels::tanh_scalar(inf), 1.0f);
+  EXPECT_EQ(kernels::tanh_scalar(-FLT_MAX), -1.0f);
+  EXPECT_EQ(kernels::sigmoid_scalar(inf), 1.0f);
+  EXPECT_EQ(kernels::sigmoid_scalar(-inf), 0.0f);
+  EXPECT_EQ(kernels::sigmoid_scalar(0.0f), 0.5f);
+  EXPECT_EQ(kernels::sigmoid_scalar(-0.0f), 0.5f);
+  EXPECT_TRUE(std::signbit(kernels::tanh_scalar(-0.0f)));
+  // A NaN comes back as itself, not as the clamp value.
+  const float nan = -std::numeric_limits<float>::quiet_NaN();
+  const float out = kernels::tanh_scalar(nan);
+  EXPECT_EQ(0, std::memcmp(&out, &nan, sizeof(float)));
 }
 
 }  // namespace
