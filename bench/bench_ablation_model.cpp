@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <future>
 #include <iostream>
+#include <numeric>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -106,6 +107,26 @@ std::vector<int> labels_of(const std::vector<ml::Sequence>& s) {
   return out;
 }
 
+/// Last steps as one row-major [n x kInputDim] matrix, for LogReg.
+struct FlatSet {
+  std::vector<float> x;
+  std::vector<int> y;
+  std::vector<std::uint32_t> rows;  ///< every row, in order
+
+  ml::ConstMatView view() const {
+    return {x.data(), y.size(), core::kInputDim};
+  }
+};
+FlatSet flat_last_steps(const std::vector<ml::Sequence>& s) {
+  FlatSet out;
+  for (const auto& seq : s)
+    out.x.insert(out.x.end(), seq.steps.back().begin(), seq.steps.back().end());
+  out.y = labels_of(s);
+  out.rows.resize(s.size());
+  std::iota(out.rows.begin(), out.rows.end(), 0u);
+  return out;
+}
+
 /// One trace's full exploration: dataset extraction + the three models.
 /// Returns an empty row when the trace yields too few samples.
 std::vector<std::string> explore_trace(const char* id) {
@@ -114,22 +135,21 @@ std::vector<std::string> explore_trace(const char* id) {
     const Dataset d = build_dataset(trace, 6000, 11);
     if (d.train.size() < 100) return {};
 
-    // Logistic regression on compact last-step features.
+    // Logistic regression on last-step features. The compact encoding
+    // needs raw features, which the hex-encoded sequences no longer hold,
+    // so logreg consumes the hex encoding directly here — its known
+    // weakness (see features.hpp).
     float lr_acc;
     {
-      auto to_compact = [](const std::vector<ml::Sequence>& seqs) {
-        // The compact encoding needs raw features; rebuild from hex is
-        // impossible, so approximate: logreg consumes the hex encoding
-        // directly here — its known weakness (see features.hpp).
-        return last_steps(seqs);
-      };
+      const FlatSet train = flat_last_steps(d.train);
+      const FlatSet test = flat_last_steps(d.test);
       ml::LogisticRegression::Config cfg;
       cfg.input_dim = core::kInputDim;
       cfg.epochs = 30;
       cfg.lr = 0.3f;
       ml::LogisticRegression model(cfg);
-      model.fit(to_compact(d.train), labels_of(d.train));
-      lr_acc = model.evaluate(to_compact(d.test), labels_of(d.test));
+      model.fit(train.view(), train.y, train.rows);
+      lr_acc = model.evaluate(test.view(), test.y, test.rows);
     }
 
     // MLP on the last step.

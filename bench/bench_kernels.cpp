@@ -8,6 +8,10 @@
 //  * train_epoch — one GRU BPTT epoch per training window. Order-preserving
 //    AVX2 float kernels vs tensor.hpp's scalar loops; both train the same
 //    weights bit for bit.
+//  * threshold search — Algorithm 1's per-window candidate evaluation
+//    (balanced resample + LogReg fit + held-out accuracy, eight rounds),
+//    and one LogReg fit on its own. Both run the one-sample-per-lane
+//    LogReg kernels over a flat feature matrix picked by row index.
 //  * activations — the sigmoid/tanh pair every GRU step runs, dispatched
 //    (AVX2) vs the bit-equal scalar body, over one gate (32 lanes) and a
 //    whole predict step's worth (96 lanes).
@@ -23,13 +27,16 @@
 
 #include <cstdio>
 #include <memory>
+#include <numeric>
 #include <vector>
 
 #include "baselines/base_ftl.hpp"
 #include "core/features.hpp"
+#include "core/threshold.hpp"
 #include "ftl/victim_policy.hpp"
 #include "ml/gru.hpp"
 #include "ml/kernels.hpp"
+#include "ml/logreg.hpp"
 #include "ml/qgru.hpp"
 #include "util/rng.hpp"
 
@@ -134,6 +141,70 @@ void BM_TrainEpochReference(benchmark::State& state) {
   train_epoch_bench<true>(state);
 }
 BENCHMARK(BM_TrainEpochReference)->Unit(benchmark::kMillisecond);
+
+// --- Algorithm 1: threshold search and its LogReg fit ---
+
+/// One window of 2000 samples, 70 % short-living, whose prev_lifetime
+/// mirrors the lifetime: row i of `x` is sample i's compact encoding.
+struct ThresholdWindow {
+  std::vector<std::uint64_t> lifetimes;
+  std::vector<float> x;
+};
+
+ThresholdWindow make_threshold_window() {
+  Xoshiro256 rng(7);
+  ThresholdWindow w;
+  for (int i = 0; i < 2000; ++i) {
+    const std::uint64_t lt = rng.next_bool(0.7) ? 100 + rng.next_below(100)
+                                                : 5000 + rng.next_below(5000);
+    w.lifetimes.push_back(lt);
+    core::RawFeatures raw;
+    raw.prev_lifetime = static_cast<std::uint32_t>(lt);
+    const auto row = core::encode_features_compact(raw);
+    w.x.insert(w.x.end(), row.begin(), row.end());
+  }
+  return w;
+}
+
+// Two windows on a fresh controller: the first picks the inflection point,
+// the second evaluates the four candidates, two rounds each.
+void BM_ThresholdAdjustment(benchmark::State& state) {
+  const auto w = make_threshold_window();
+  const ml::ConstMatView x(w.x.data(), w.lifetimes.size(), core::kCompactDim);
+  for (auto _ : state) {
+    core::ThresholdController tc(core::ThresholdController::Config{});
+    benchmark::DoNotOptimize(tc.pick_threshold(w.lifetimes, x));
+    benchmark::DoNotOptimize(tc.pick_threshold(w.lifetimes, x));
+  }
+  state.counters["avx2"] = ml::kernels::logreg_kernels_use_avx2() ? 1 : 0;
+}
+BENCHMARK(BM_ThresholdAdjustment)->Unit(benchmark::kMillisecond);
+
+// Five epochs over 1024 compact-encoded samples at the default config.
+void BM_LogRegFit(benchmark::State& state) {
+  Xoshiro256 rng(9);
+  std::vector<float> x;
+  std::vector<int> y;
+  for (int i = 0; i < 1024; ++i) {
+    core::RawFeatures raw;
+    raw.prev_lifetime = static_cast<std::uint32_t>(rng.next_below(10000));
+    const auto row = core::encode_features_compact(raw);
+    x.insert(x.end(), row.begin(), row.end());
+    y.push_back(raw.prev_lifetime < 2000 ? 1 : 0);
+  }
+  const ml::ConstMatView xv(x.data(), y.size(), core::kCompactDim);
+  std::vector<std::uint32_t> rows(y.size());
+  std::iota(rows.begin(), rows.end(), 0u);
+  for (auto _ : state) {
+    ml::LogisticRegression::Config cfg;
+    cfg.input_dim = core::kCompactDim;
+    ml::LogisticRegression model(cfg);
+    model.fit(xv, y, rows);
+    benchmark::DoNotOptimize(model.bias());
+  }
+  state.counters["avx2"] = ml::kernels::logreg_kernels_use_avx2() ? 1 : 0;
+}
+BENCHMARK(BM_LogRegFit)->Unit(benchmark::kMicrosecond);
 
 // --- Activations: dispatched vector body vs the scalar body ---
 

@@ -61,7 +61,7 @@ double ThresholdController::percentile_of_value(
 
 double ThresholdController::evaluate_candidate(
     std::uint64_t candidate, const std::vector<std::uint64_t>& lifetimes,
-    const std::vector<std::vector<float>>& features) {
+    ml::ConstMatView features) {
   // Label with the candidate, balance, train the lightweight model, and
   // report held-out accuracy (Algorithm 1's TrainEvalLightModel). Two
   // independent resample/split rounds are averaged: the hill climb follows
@@ -85,23 +85,20 @@ double ThresholdController::evaluate_candidate(
 
   double total = 0.0;
   int rounds = 0;
+  std::vector<std::uint32_t> bal_rows;
   for (int round = 0; round < 2; ++round) {
-    std::vector<std::vector<float>> bal_x;
-    std::vector<int> bal_y;
-    ml::balanced_resample(features, labels, cfg_.resample_per_class, rng_,
-                          bal_x, bal_y);
-    if (bal_x.size() < 8) continue;
-    total += ml::train_eval_light_model(bal_x, bal_y, cfg_.test_fraction,
-                                        rng_, lm);
+    ml::balanced_resample(labels, cfg_.resample_per_class, rng_, bal_rows);
+    if (bal_rows.size() < 8) continue;
+    total += ml::train_eval_light_model(features, labels, bal_rows,
+                                        cfg_.test_fraction, rng_, lm);
     ++rounds;
   }
   return rounds ? total / rounds : 0.0;
 }
 
 std::uint64_t ThresholdController::pick_threshold(
-    const std::vector<std::uint64_t>& lifetimes,
-    const std::vector<std::vector<float>>& features) {
-  PHFTL_CHECK(lifetimes.size() == features.size());
+    const std::vector<std::uint64_t>& lifetimes, ml::ConstMatView features) {
+  PHFTL_CHECK(lifetimes.size() == features.rows);
   if (lifetimes.empty()) {
     // No samples this window: keep the previous threshold.
     return threshold_ >= 0 ? static_cast<std::uint64_t>(threshold_) : 0;
@@ -132,8 +129,7 @@ std::uint64_t ThresholdController::pick_threshold(
   // noisy accuracy surface random-walk the threshold away from it.
   double max_accu = -1.0;
   std::uint64_t max_thres = static_cast<std::uint64_t>(threshold_);
-  int chosen_dir = 0;
-  bool anchored = true;
+  int chosen_dir = 0;  // a re-anchor counts as "no directional adjustment"
   if (cfg_.reanchor) {
     const std::uint64_t knee = inflection_point(lifetimes);
     max_accu = evaluate_candidate(knee, lifetimes, features);
@@ -147,10 +143,8 @@ std::uint64_t ThresholdController::pick_threshold(
       max_accu = accu;
       max_thres = t;
       chosen_dir = dir;
-      anchored = false;
     }
   }
-  (void)anchored;  // a re-anchor counts as "no directional adjustment"
 
   // Step-length adaptation (Algorithm 1's four rules).
   const int cur_dir = chosen_dir;

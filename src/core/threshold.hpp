@@ -8,8 +8,9 @@
 //     first and last sorted samples, i.e. where the empirical CDF enters
 //     its long tail (Fig. 2a);
 //   * later windows: locate the percentile p of the previous T among the
-//     new samples, evaluate candidate thresholds at percentiles p − step,
-//     p, p + step by training a lightweight logistic-regression model on a
+//     new samples, evaluate the window's own inflection point (re-anchor)
+//     and candidate thresholds at percentiles p − step, p, p + step by
+//     training a lightweight logistic-regression model on a
 //     balanced resample labelled with each candidate, and keep the
 //     candidate with the highest held-out accuracy (Fig. 2b);
 //   * the step length then self-tunes: it grows when the threshold is
@@ -46,12 +47,12 @@ class ThresholdController {
 
   explicit ThresholdController(const Config& cfg);
 
-  /// Run one window's adjustment. `lifetimes[i]` pairs with `features[i]`
-  /// (the encoded feature vector of the write that *created* the sampled
-  /// version). Returns the new threshold; with no samples the previous
-  /// threshold is retained.
+  /// Run one window's adjustment. `lifetimes[i]` pairs with row i of
+  /// `features` (the compact encoding of the write that *created* the
+  /// sampled version). Returns the new threshold; with no samples the
+  /// previous threshold is retained.
   std::uint64_t pick_threshold(const std::vector<std::uint64_t>& lifetimes,
-                               const std::vector<std::vector<float>>& features);
+                               ml::ConstMatView features);
 
   /// Current threshold; -1 before the first window.
   std::int64_t threshold() const { return threshold_; }
@@ -75,7 +76,7 @@ class ThresholdController {
 
   double evaluate_candidate(std::uint64_t candidate,
                             const std::vector<std::uint64_t>& lifetimes,
-                            const std::vector<std::vector<float>>& features);
+                            ml::ConstMatView features);
 
   Config cfg_;
   Xoshiro256 rng_;

@@ -104,15 +104,21 @@ void ModelTrainer::train_window() {
   // 1. Threshold adjustment (Algorithm 1) on (lifetime, last-step feature)
   //    pairs. The lightweight model consumes the compact monotone encoding
   //    (see features.hpp) so candidate accuracy actually peaks at the knee.
-  std::vector<std::uint64_t> lifetimes(samples_.size());
-  std::vector<std::vector<float>> last_feats(samples_.size());
-  for (std::size_t i = 0; i < samples_.size(); ++i) {
+  //    The encodings are one row-major matrix, row i for sample i, in a
+  //    buffer reused across windows.
+  const std::size_t n = samples_.size();
+  std::vector<std::uint64_t> lifetimes(n);
+  compact_feats_.resize(n * kCompactDim);
+  for (std::size_t i = 0; i < n; ++i) {
     lifetimes[i] = samples_[i].lifetime;
     PHFTL_CHECK(!samples_[i].sequence.empty());
-    last_feats[i] = encode_features_compact(samples_[i].sequence.back());
+    encode_features_compact(
+        samples_[i].sequence.back(),
+        std::span<float>(compact_feats_.data() + i * kCompactDim,
+                         kCompactDim));
   }
-  const std::uint64_t threshold =
-      controller_.pick_threshold(lifetimes, last_feats);
+  const std::uint64_t threshold = controller_.pick_threshold(
+      lifetimes, ml::ConstMatView(compact_feats_.data(), n, kCompactDim));
 
   // 2. Label sequences and balance classes.
   std::vector<std::size_t> pos_idx, neg_idx;

@@ -127,6 +127,9 @@ class ModelTrainer {
 
   std::vector<History> history_;
   std::vector<WindowSample> samples_;
+  /// Algorithm 1's per-window input: row i of this [samples x
+  /// kCompactDim] matrix is the compact encoding of sample i's last step.
+  std::vector<float> compact_feats_;
   std::uint64_t samples_seen_ = 0;  ///< total this window (for reservoir)
   std::uint64_t window_start_ = 0;
   std::uint64_t pages_in_window_ = 0;

@@ -467,4 +467,180 @@ void sigmoid_f32(float* v, std::size_t n) { g_act.sigmoid(v, n); }
 
 bool activations_use_avx2() { return g_act.avx2; }
 
+// ---- LogReg ----
+
+void logreg_proba_scalar(ConstMatView x, std::span<const std::uint32_t> rows,
+                         const float* w, float b, float* p) {
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    const float* xr = x.data + std::size_t{rows[k]} * x.cols;
+    float acc = b;
+    for (std::size_t j = 0; j < x.cols; ++j) acc += w[j] * xr[j];
+    p[k] = sigmoid_scalar(acc);
+  }
+}
+
+void logreg_grad_scalar(ConstMatView x, std::span<const std::uint32_t> rows,
+                        const float* err, float* gw) {
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    const float* xr = x.data + std::size_t{rows[k]} * x.cols;
+    for (std::size_t j = 0; j < x.cols; ++j) gw[j] += err[k] * xr[j];
+  }
+}
+
+namespace {
+
+#if PHFTL_KERNELS_X86
+
+// NV vectors of 8 samples (the last masked by `last`). Lane i of vector v
+// owns sample rows[8v + i]: it starts at b and adds w[j] · x[row][j] for
+// j ascending, gathering column j of its row at offset row · cols + j.
+template <std::size_t NV>
+#ifndef __AVX2__
+__attribute__((target("avx2")))
+#endif
+inline void logreg_logit_block(ConstMatView x, const std::uint32_t* rows,
+                               const float* w, float b, float* z,
+                               __m256i last) {
+  const __m256i cols = _mm256_set1_epi32(static_cast<int>(x.cols));
+  const __m256i all = _mm256_set1_epi32(-1);
+  __m256i off[NV];
+  __m256 mask[NV];
+  __m256 a[NV];
+#pragma GCC unroll 4
+  for (std::size_t v = 0; v < NV; ++v) {
+    const __m256i m = v + 1 < NV ? all : last;
+    const __m256i r = _mm256_maskload_epi32(
+        reinterpret_cast<const int*>(rows + 8 * v), m);
+    off[v] = _mm256_mullo_epi32(r, cols);
+    mask[v] = _mm256_castsi256_ps(m);
+    a[v] = _mm256_set1_ps(b);
+  }
+  const __m256 zero = _mm256_setzero_ps();
+  for (std::size_t j = 0; j < x.cols; ++j) {
+    const __m256 wj = _mm256_set1_ps(w[j]);
+#pragma GCC unroll 4
+    for (std::size_t v = 0; v < NV; ++v)
+      a[v] = _mm256_add_ps(
+          a[v], _mm256_mul_ps(wj, _mm256_mask_i32gather_ps(
+                                      zero, x.data + j, off[v], mask[v], 4)));
+  }
+#pragma GCC unroll 4
+  for (std::size_t v = 0; v + 1 < NV; ++v) _mm256_storeu_ps(z + 8 * v, a[v]);
+  _mm256_maskstore_ps(z + 8 * (NV - 1), last, a[NV - 1]);
+}
+
+// Up to 32 samples per block: four independent accumulator chains per
+// broadcast weight hide the add latency.
+#ifndef __AVX2__
+__attribute__((target("avx2")))
+#endif
+void logreg_proba_avx2(ConstMatView x, std::span<const std::uint32_t> rows,
+                       const float* w, float b, float* p) {
+  const std::size_t n = rows.size();
+  for (std::size_t k = 0; k < n; k += 32) {
+    const std::size_t left = std::min<std::size_t>(32, n - k);
+    const std::size_t nv = (left + 7) / 8;
+    const __m256i last = lane_mask(left - 8 * (nv - 1));
+    const std::uint32_t* r = rows.data() + k;
+    switch (nv) {
+      case 1: logreg_logit_block<1>(x, r, w, b, p + k, last); break;
+      case 2: logreg_logit_block<2>(x, r, w, b, p + k, last); break;
+      case 3: logreg_logit_block<3>(x, r, w, b, p + k, last); break;
+      default: logreg_logit_block<4>(x, r, w, b, p + k, last);
+    }
+  }
+  sigmoid_f32(p, n);
+}
+
+// NV 8-lane column vectors of gw (the last masked by `last`), held in
+// registers while every sample of the batch adds err[k] · x[rows[k]].
+template <std::size_t NV>
+#ifndef __AVX2__
+__attribute__((target("avx2")))
+#endif
+inline void logreg_grad_block(ConstMatView x, std::span<const std::uint32_t> rows,
+                              const float* err, float* gw, __m256i last) {
+  __m256 a[NV];
+#pragma GCC unroll 8
+  for (std::size_t v = 0; v + 1 < NV; ++v) a[v] = _mm256_loadu_ps(gw + 8 * v);
+  a[NV - 1] = _mm256_maskload_ps(gw + 8 * (NV - 1), last);
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    const float* xr = x.data + std::size_t{rows[k]} * x.cols;
+    const __m256 e = _mm256_set1_ps(err[k]);
+#pragma GCC unroll 8
+    for (std::size_t v = 0; v + 1 < NV; ++v)
+      a[v] = _mm256_add_ps(a[v], _mm256_mul_ps(e, _mm256_loadu_ps(xr + 8 * v)));
+    a[NV - 1] = _mm256_add_ps(
+        a[NV - 1],
+        _mm256_mul_ps(e, _mm256_maskload_ps(xr + 8 * (NV - 1), last)));
+  }
+#pragma GCC unroll 8
+  for (std::size_t v = 0; v + 1 < NV; ++v) _mm256_storeu_ps(gw + 8 * v, a[v]);
+  _mm256_maskstore_ps(gw + 8 * (NV - 1), last, a[NV - 1]);
+}
+
+// Column blocks of up to 64: the compact features (38 columns) take one
+// pass over the batch.
+#ifndef __AVX2__
+__attribute__((target("avx2")))
+#endif
+void logreg_grad_avx2(ConstMatView x, std::span<const std::uint32_t> rows,
+                      const float* err, float* gw) {
+  for (std::size_t c = 0; c < x.cols; c += 64) {
+    const std::size_t left = std::min<std::size_t>(64, x.cols - c);
+    const std::size_t nv = (left + 7) / 8;
+    const __m256i last = lane_mask(left - 8 * (nv - 1));
+    const ConstMatView xc(x.data + c, x.rows, x.cols);
+    float* g = gw + c;
+    switch (nv) {
+      case 1: logreg_grad_block<1>(xc, rows, err, g, last); break;
+      case 2: logreg_grad_block<2>(xc, rows, err, g, last); break;
+      case 3: logreg_grad_block<3>(xc, rows, err, g, last); break;
+      case 4: logreg_grad_block<4>(xc, rows, err, g, last); break;
+      case 5: logreg_grad_block<5>(xc, rows, err, g, last); break;
+      case 6: logreg_grad_block<6>(xc, rows, err, g, last); break;
+      case 7: logreg_grad_block<7>(xc, rows, err, g, last); break;
+      default: logreg_grad_block<8>(xc, rows, err, g, last);
+    }
+  }
+}
+
+#endif  // PHFTL_KERNELS_X86
+
+using LogRegProbaFn = void (*)(ConstMatView, std::span<const std::uint32_t>,
+                               const float*, float, float*);
+using LogRegGradFn = void (*)(ConstMatView, std::span<const std::uint32_t>,
+                              const float*, float*);
+
+struct LogRegKernels {
+  LogRegProbaFn proba;
+  LogRegGradFn grad;
+  bool avx2;
+};
+
+LogRegKernels resolve_logreg_kernels() {
+#if PHFTL_KERNELS_X86
+  if (__builtin_cpu_supports("avx2"))
+    return {logreg_proba_avx2, logreg_grad_avx2, true};
+#endif
+  return {logreg_proba_scalar, logreg_grad_scalar, false};
+}
+
+const LogRegKernels g_logreg = resolve_logreg_kernels();
+
+}  // namespace
+
+void logreg_proba_f32(ConstMatView x, std::span<const std::uint32_t> rows,
+                      const float* w, float b, float* p) {
+  PHFTL_CHECK(x.size() <= 0x7fffffffu);
+  g_logreg.proba(x, rows, w, b, p);
+}
+
+void logreg_grad_f32(ConstMatView x, std::span<const std::uint32_t> rows,
+                     const float* err, float* gw) {
+  g_logreg.grad(x, rows, err, gw);
+}
+
+bool logreg_kernels_use_avx2() { return g_logreg.avx2; }
+
 }  // namespace phftl::ml::kernels

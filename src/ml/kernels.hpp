@@ -74,11 +74,35 @@
 //
 // The dispatcher picks the body on the same CPU check as the other kernels.
 // A CPU without AVX2 gets identical bits, so WA never depends on the host.
+//
+// ## LogReg (one sample per lane)
+//
+// Algorithm 1 trains a small logistic regression per candidate threshold
+// (logreg.hpp) on rows picked by index from one row-major feature matrix.
+// Its weights do not change within a minibatch, so the two kernels here
+// vectorize across samples and features without reordering any float sum:
+//
+//  * the logit kernel gives each SIMD lane one sample. The lane runs that
+//    sample's serial dot product: acc = b, then acc += w[j]·x[j] for j
+//    ascending, one gathered feature column per step. The sigmoid is then
+//    applied by sigmoid_f32, which matches sigmoid_scalar bit for bit;
+//  * the gradient kernel computes gw[j] += err_i·x_i[j] with i in batch
+//    order. It vectorizes over j and keeps the accumulators in registers
+//    across the batch. No term is skipped: the scalar loop has no
+//    zero-error skip;
+//  * separate multiply and add, and masked loads, stores and gathers for
+//    the sample and column tails, as for the training kernels.
+//
+// Candidate accuracies, and so every threshold the controller picks, are
+// therefore the same whichever body runs.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
+
+#include "ml/tensor.hpp"
 
 namespace phftl::ml::kernels {
 
@@ -176,5 +200,29 @@ float sigmoid_scalar(float x);
 
 /// True when the runtime dispatcher selected the AVX2 activation body.
 bool activations_use_avx2();
+
+// ---- LogReg (see the header comment for the rules). ----
+
+/// p[k] = sigmoid(b + Σ_j w[j] · x[rows[k]][j]) for k < rows.size(); the
+/// sum starts at b and adds its terms in ascending j. `w` holds x.cols
+/// weights, `p` room for rows.size() results, and x at most 2³¹ - 1
+/// elements (the row offsets are gathered as int32).
+void logreg_proba_f32(ConstMatView x, std::span<const std::uint32_t> rows,
+                      const float* w, float b, float* p);
+
+/// gw[j] += err[k] · x[rows[k]][j] for j < x.cols, with k ascending over
+/// rows.size(); each gw[j] adds its terms in k order.
+void logreg_grad_f32(ConstMatView x, std::span<const std::uint32_t> rows,
+                     const float* err, float* gw);
+
+/// The scalar bodies. Each stores exactly what the dispatched call above
+/// stores for the same input, on every CPU.
+void logreg_proba_scalar(ConstMatView x, std::span<const std::uint32_t> rows,
+                         const float* w, float b, float* p);
+void logreg_grad_scalar(ConstMatView x, std::span<const std::uint32_t> rows,
+                        const float* err, float* gw);
+
+/// True when the runtime dispatcher selected the AVX2 LogReg kernels.
+bool logreg_kernels_use_avx2();
 
 }  // namespace phftl::ml::kernels

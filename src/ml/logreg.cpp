@@ -1,7 +1,6 @@
 #include "ml/logreg.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "ml/kernels.hpp"
 #include "util/assert.hpp"
@@ -11,37 +10,44 @@ namespace phftl::ml {
 LogisticRegression::LogisticRegression(const Config& cfg)
     : cfg_(cfg), w_(cfg.input_dim, 0.0f) {}
 
-float LogisticRegression::predict_proba(std::span<const float> x) const {
-  PHFTL_CHECK(x.size() == w_.size());
-  float acc = b_;
-  for (std::size_t i = 0; i < x.size(); ++i) acc += w_[i] * x[i];
-  return kernels::sigmoid_scalar(acc);
+void LogisticRegression::predict_proba(ConstMatView x,
+                                       std::span<const std::uint32_t> rows,
+                                       std::span<float> p) const {
+  PHFTL_CHECK(x.cols == w_.size() && p.size() == rows.size());
+  for (const std::uint32_t r : rows) PHFTL_CHECK(r < x.rows);
+  kernels::logreg_proba_f32(x, rows, w_.data(), b_, p.data());
 }
 
-void LogisticRegression::fit(const std::vector<std::vector<float>>& features,
-                             const std::vector<int>& labels) {
-  PHFTL_CHECK(features.size() == labels.size());
-  if (features.empty()) return;
+void LogisticRegression::fit(ConstMatView x, std::span<const int> labels,
+                             std::span<const std::uint32_t> rows) {
+  PHFTL_CHECK(x.cols == w_.size() && labels.size() == x.rows);
+  for (const std::uint32_t r : rows) PHFTL_CHECK(r < x.rows);
+  if (rows.empty()) return;
   Xoshiro256 rng(cfg_.seed);
-  std::vector<std::size_t> order(features.size());
-  std::iota(order.begin(), order.end(), 0);
+  // Shuffling the row indices applies the same swaps as shuffling
+  // positions 0..n-1, so each minibatch is a contiguous slice of `order`.
+  std::vector<std::uint32_t> order(rows.begin(), rows.end());
 
   std::vector<float> gw(w_.size());
+  std::vector<float> err(cfg_.batch_size);
   for (std::size_t epoch = 0; epoch < cfg_.epochs; ++epoch) {
     deterministic_shuffle(order, rng);
     std::size_t pos = 0;
     while (pos < order.size()) {
       const std::size_t end = std::min(pos + cfg_.batch_size, order.size());
-      std::fill(gw.begin(), gw.end(), 0.0f);
+      const std::span<const std::uint32_t> batch(order.data() + pos,
+                                                 end - pos);
+      // The weights are fixed within the minibatch: all its probabilities
+      // first, then the gradient in batch order.
+      kernels::logreg_proba_f32(x, batch, w_.data(), b_, err.data());
       float gb = 0.0f;
-      for (std::size_t i = pos; i < end; ++i) {
-        const auto& x = features[order[i]];
-        const float err =
-            predict_proba(x) - static_cast<float>(labels[order[i]]);
-        for (std::size_t j = 0; j < w_.size(); ++j) gw[j] += err * x[j];
-        gb += err;
+      for (std::size_t k = 0; k < batch.size(); ++k) {
+        err[k] -= static_cast<float>(labels[batch[k]]);
+        gb += err[k];
       }
-      const float inv = 1.0f / static_cast<float>(end - pos);
+      std::fill(gw.begin(), gw.end(), 0.0f);
+      kernels::logreg_grad_f32(x, batch, err.data(), gw.data());
+      const float inv = 1.0f / static_cast<float>(batch.size());
       for (std::size_t j = 0; j < w_.size(); ++j)
         w_[j] -= cfg_.lr * (gw[j] * inv + cfg_.l2 * w_[j]);
       b_ -= cfg_.lr * gb * inv;
@@ -50,83 +56,65 @@ void LogisticRegression::fit(const std::vector<std::vector<float>>& features,
   }
 }
 
-float LogisticRegression::evaluate(
-    const std::vector<std::vector<float>>& features,
-    const std::vector<int>& labels) const {
-  PHFTL_CHECK(features.size() == labels.size());
-  if (features.empty()) return 0.0f;
+float LogisticRegression::evaluate(ConstMatView x, std::span<const int> labels,
+                                   std::span<const std::uint32_t> rows) const {
+  PHFTL_CHECK(labels.size() == x.rows);
+  if (rows.empty()) return 0.0f;
+  std::vector<float> p(rows.size());
+  predict_proba(x, rows, p);
   std::size_t correct = 0;
-  for (std::size_t i = 0; i < features.size(); ++i)
-    if (predict(features[i]) == labels[i]) ++correct;
-  return static_cast<float>(correct) / static_cast<float>(features.size());
+  for (std::size_t k = 0; k < rows.size(); ++k)
+    if ((p[k] >= 0.5f ? 1 : 0) == labels[rows[k]]) ++correct;
+  return static_cast<float>(correct) / static_cast<float>(rows.size());
 }
 
-void balanced_resample(const std::vector<std::vector<float>>& features,
-                       const std::vector<int>& labels,
-                       std::size_t max_per_class, Xoshiro256& rng,
-                       std::vector<std::vector<float>>& out_features,
-                       std::vector<int>& out_labels) {
-  PHFTL_CHECK(features.size() == labels.size());
-  out_features.clear();
-  out_labels.clear();
-  std::vector<std::size_t> pos_idx, neg_idx;
+void balanced_resample(std::span<const int> labels, std::size_t max_per_class,
+                       Xoshiro256& rng, std::vector<std::uint32_t>& out_rows) {
+  out_rows.clear();
+  std::vector<std::uint32_t> pos_idx, neg_idx;
   for (std::size_t i = 0; i < labels.size(); ++i)
-    (labels[i] ? pos_idx : neg_idx).push_back(i);
+    (labels[i] ? pos_idx : neg_idx).push_back(static_cast<std::uint32_t>(i));
   if (pos_idx.empty() || neg_idx.empty()) {
     // Degenerate window: nothing to balance; return as-is (capped).
-    const std::size_t n = std::min(features.size(), 2 * max_per_class);
-    for (std::size_t i = 0; i < n; ++i) {
-      out_features.push_back(features[i]);
-      out_labels.push_back(labels[i]);
-    }
+    const std::size_t n = std::min(labels.size(), 2 * max_per_class);
+    for (std::size_t i = 0; i < n; ++i)
+      out_rows.push_back(static_cast<std::uint32_t>(i));
     return;
   }
   const std::size_t per_class =
       std::min({max_per_class, pos_idx.size(), neg_idx.size()});
-  auto draw = [&](const std::vector<std::size_t>& idx) {
+  auto draw = [&](std::vector<std::uint32_t>& pool) {
     // Sample without replacement when possible (partial Fisher-Yates).
-    std::vector<std::size_t> pool = idx;
     for (std::size_t k = 0; k < per_class; ++k) {
       const std::size_t j = k + rng.next_below(pool.size() - k);
       std::swap(pool[k], pool[j]);
-      out_features.push_back(features[pool[k]]);
-      out_labels.push_back(labels[pool[k]]);
+      out_rows.push_back(pool[k]);
     }
   };
   draw(pos_idx);
   draw(neg_idx);
 }
 
-float train_eval_light_model(const std::vector<std::vector<float>>& features,
-                             const std::vector<int>& labels,
+float train_eval_light_model(ConstMatView x, std::span<const int> labels,
+                             std::span<const std::uint32_t> rows,
                              double test_fraction, Xoshiro256& rng,
                              LogisticRegression::Config cfg) {
-  PHFTL_CHECK(features.size() == labels.size());
-  if (features.size() < 4) return 0.0f;
-  std::vector<std::size_t> order(features.size());
-  std::iota(order.begin(), order.end(), 0);
+  if (rows.size() < 4) return 0.0f;
+  // Shuffled row indices: the first n_train train, the rest test.
+  std::vector<std::uint32_t> order(rows.begin(), rows.end());
   deterministic_shuffle(order, rng);
 
   const auto n_test = static_cast<std::size_t>(
-      static_cast<double>(features.size()) * test_fraction);
-  const std::size_t n_train = features.size() - std::max<std::size_t>(n_test, 1);
-
-  std::vector<std::vector<float>> train_x, test_x;
-  std::vector<int> train_y, test_y;
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    if (i < n_train) {
-      train_x.push_back(features[order[i]]);
-      train_y.push_back(labels[order[i]]);
-    } else {
-      test_x.push_back(features[order[i]]);
-      test_y.push_back(labels[order[i]]);
-    }
-  }
-  if (train_x.empty() || test_x.empty()) return 0.0f;
-  cfg.input_dim = features.front().size();
+      static_cast<double>(rows.size()) * test_fraction);
+  const std::size_t n_train = rows.size() - std::max<std::size_t>(n_test, 1);
+  const std::span<const std::uint32_t> train(order.data(), n_train);
+  const std::span<const std::uint32_t> test(order.data() + n_train,
+                                            order.size() - n_train);
+  if (train.empty() || test.empty()) return 0.0f;
+  cfg.input_dim = x.cols;
   LogisticRegression model(cfg);
-  model.fit(train_x, train_y);
-  return model.evaluate(test_x, test_y);
+  model.fit(x, labels, train);
+  return model.evaluate(x, labels, test);
 }
 
 }  // namespace phftl::ml

@@ -7,7 +7,9 @@
 // kernels keep every output element's operation order, so they too must
 // match tensor.hpp's loops bit for bit, tails and zero rows included. The
 // activations' vector body must return the scalar body's bits for every
-// input, specials included, and stay within a pinned error of libm.
+// input, specials included, and stay within a pinned error of libm. The
+// LogReg kernels' vector bodies must store the scalar bodies' bits for
+// every feature width and sample count, specials included.
 #include <gtest/gtest.h>
 
 #include <cfloat>
@@ -356,6 +358,70 @@ TEST(Activations, RangeSymmetryAndSpecials) {
   const float nan = -std::numeric_limits<float>::quiet_NaN();
   const float out = kernels::tanh_scalar(nan);
   EXPECT_EQ(0, std::memcmp(&out, &nan, sizeof(float)));
+}
+
+// ---- LogReg ----
+
+/// Signed values in [-1, 1) mixed with ±0, ± denormals and large
+/// magnitudes, so that some logits and gradient sums overflow to ±inf and
+/// NaN.
+std::vector<float> logreg_values(std::size_t n, Xoshiro256& rng) {
+  const float specials[] = {0.0f,         -0.0f,   FLT_TRUE_MIN,
+                            -FLT_TRUE_MIN, FLT_MIN / 2, -FLT_MIN / 2,
+                            1e30f,        -3e38f};
+  std::vector<float> v = random_signed_vec(n, rng);
+  for (auto& x : v)
+    if (rng.next_below(6) == 0) x = specials[rng.next_below(8)];
+  return v;
+}
+
+/// Every feature width from below one vector to above the 38-column
+/// compact encoding, and every sample count around the 8-lane and
+/// 32-sample blocks.
+const std::size_t kLogRegWidths[] = {1, 7, 8, 9, 20, 38, 40};
+const std::size_t kLogRegBatches[] = {1, 7, 8, 9, 31, 32, 33, 70};
+
+TEST(LogRegKernels, ProbaMatchesScalarBodyBitForBit) {
+  Xoshiro256 rng(21);
+  for (const std::size_t d : kLogRegWidths) {
+    for (const std::size_t n : kLogRegBatches) {
+      // Rows drawn with repeats from a larger matrix, as a resample picks
+      // them.
+      const std::size_t m = n + 5;
+      const auto x = logreg_values(m * d, rng);
+      const auto w = logreg_values(d, rng);
+      const float b = logreg_values(1, rng)[0];
+      std::vector<std::uint32_t> rows(n);
+      for (auto& r : rows) r = static_cast<std::uint32_t>(rng.next_below(m));
+      const ConstMatView xv(x.data(), m, d);
+
+      std::vector<float> ref(n, 7.0f), out(n, 7.0f);
+      kernels::logreg_proba_scalar(xv, rows, w.data(), b, ref.data());
+      kernels::logreg_proba_f32(xv, rows, w.data(), b, out.data());
+      EXPECT_TRUE(bit_equal(out, ref)) << "d " << d << " n " << n;
+    }
+  }
+}
+
+TEST(LogRegKernels, GradMatchesScalarBodyBitForBit) {
+  Xoshiro256 rng(22);
+  for (const std::size_t d : kLogRegWidths) {
+    for (const std::size_t n : kLogRegBatches) {
+      const std::size_t m = n + 5;
+      const auto x = logreg_values(m * d, rng);
+      const auto err = logreg_values(n, rng);
+      std::vector<std::uint32_t> rows(n);
+      for (auto& r : rows) r = static_cast<std::uint32_t>(rng.next_below(m));
+      const ConstMatView xv(x.data(), m, d);
+
+      // The accumulators start with signed zeros and specials too.
+      std::vector<float> ref = logreg_values(d, rng);
+      std::vector<float> out = ref;
+      kernels::logreg_grad_scalar(xv, rows, err.data(), ref.data());
+      kernels::logreg_grad_f32(xv, rows, err.data(), out.data());
+      EXPECT_TRUE(bit_equal(out, ref)) << "d " << d << " n " << n;
+    }
+  }
 }
 
 }  // namespace

@@ -10,15 +10,21 @@
 namespace phftl::core {
 namespace {
 
+/// Row-major [n x kCompactDim] view of a window's compact encodings.
+ml::ConstMatView view(const std::vector<float>& features) {
+  return {features.data(), features.size() / kCompactDim, kCompactDim};
+}
+
 /// Build (lifetime, encoded-feature) pairs where prev_lifetime mirrors the
 /// sampled lifetime — a learnable association, as in real windows.
 void make_window(const std::vector<std::uint64_t>& lifetimes,
-                 std::vector<std::vector<float>>& features) {
+                 std::vector<float>& features) {
   features.clear();
   for (const auto lt : lifetimes) {
     RawFeatures raw;
     raw.prev_lifetime = static_cast<std::uint32_t>(lt);
-    features.push_back(encode_features_compact(raw));
+    const auto row = encode_features_compact(raw);
+    features.insert(features.end(), row.begin(), row.end());
   }
 }
 
@@ -74,9 +80,9 @@ TEST(ThresholdController, StartsUnset) {
 TEST(ThresholdController, FirstWindowUsesInflectionPoint) {
   ThresholdController tc(test_cfg());
   const auto lifetimes = bimodal(400, 50, 100, 5000, 2);
-  std::vector<std::vector<float>> feats;
+  std::vector<float> feats;
   make_window(lifetimes, feats);
-  const auto t = tc.pick_threshold(lifetimes, feats);
+  const auto t = tc.pick_threshold(lifetimes, view(feats));
   EXPECT_EQ(t, ThresholdController::inflection_point(lifetimes));
   EXPECT_EQ(tc.threshold(), static_cast<std::int64_t>(t));
 }
@@ -84,9 +90,9 @@ TEST(ThresholdController, FirstWindowUsesInflectionPoint) {
 TEST(ThresholdController, EmptyWindowKeepsThreshold) {
   ThresholdController tc(test_cfg());
   const auto lifetimes = bimodal(400, 50, 100, 5000, 3);
-  std::vector<std::vector<float>> feats;
+  std::vector<float> feats;
   make_window(lifetimes, feats);
-  const auto t = tc.pick_threshold(lifetimes, feats);
+  const auto t = tc.pick_threshold(lifetimes, view(feats));
   EXPECT_EQ(tc.pick_threshold({}, {}), t);
   EXPECT_EQ(tc.threshold(), static_cast<std::int64_t>(t));
 }
@@ -95,11 +101,11 @@ TEST(ThresholdController, TracksDistributionAcrossWindows) {
   // Threshold should remain in the gap between the two modes as windows
   // repeat, and stay finite/sane when the distribution shifts.
   ThresholdController tc(test_cfg());
-  std::vector<std::vector<float>> feats;
+  std::vector<float> feats;
   for (int w = 0; w < 6; ++w) {
     const auto lifetimes = bimodal(400, 50, 100, 5000, 10 + w);
     make_window(lifetimes, feats);
-    tc.pick_threshold(lifetimes, feats);
+    tc.pick_threshold(lifetimes, view(feats));
     EXPECT_GT(tc.threshold(), 0);
     EXPECT_LT(tc.threshold(), 10000);
   }
@@ -109,7 +115,7 @@ TEST(ThresholdController, TracksDistributionAcrossWindows) {
   for (int w = 0; w < 12; ++w) {
     const auto lifetimes = bimodal(400, 200, 100, 20000, 50 + w);
     make_window(lifetimes, feats);
-    tc.pick_threshold(lifetimes, feats);
+    tc.pick_threshold(lifetimes, view(feats));
     final_thres = tc.threshold();
   }
   EXPECT_GT(final_thres, 200);
@@ -118,11 +124,11 @@ TEST(ThresholdController, TracksDistributionAcrossWindows) {
 
 TEST(ThresholdController, StepStaysWithinBounds) {
   ThresholdController tc(test_cfg());
-  std::vector<std::vector<float>> feats;
+  std::vector<float> feats;
   for (int w = 0; w < 20; ++w) {
     const auto lifetimes = bimodal(300, 50 + 10 * w, 100, 5000, 100 + w);
     make_window(lifetimes, feats);
-    tc.pick_threshold(lifetimes, feats);
+    tc.pick_threshold(lifetimes, view(feats));
     EXPECT_GE(tc.step(), 1);
     EXPECT_LE(tc.step(), tc.threshold() >= 0 ? 10 : 5);
   }
@@ -133,13 +139,13 @@ TEST(ThresholdController, StableWindowsGrowStep) {
   // "trapped in local optimum" rule grows the step.
   ThresholdController tc(test_cfg());
   const auto lifetimes = bimodal(400, 50, 100, 5000, 7);
-  std::vector<std::vector<float>> feats;
+  std::vector<float> feats;
   make_window(lifetimes, feats);
-  tc.pick_threshold(lifetimes, feats);  // first window: inflection point
+  tc.pick_threshold(lifetimes, view(feats));  // first window: inflection point
   int prev_step = tc.step();
   int grew = 0;
   for (int w = 0; w < 6; ++w) {
-    tc.pick_threshold(lifetimes, feats);
+    tc.pick_threshold(lifetimes, view(feats));
     if (tc.last_direction() == 0 && tc.step() > prev_step) ++grew;
     prev_step = tc.step();
   }
@@ -151,14 +157,14 @@ TEST(ThresholdController, FreezeAfterFirstWindowHoldsThreshold) {
   cfg.freeze_after_first_window = true;
   cfg.reanchor = false;
   ThresholdController tc(cfg);
-  std::vector<std::vector<float>> feats;
+  std::vector<float> feats;
   const auto w1 = bimodal(400, 50, 100, 5000, 71);
   make_window(w1, feats);
-  const auto t1 = tc.pick_threshold(w1, feats);
+  const auto t1 = tc.pick_threshold(w1, view(feats));
   // Later windows with a shifted distribution must not move it.
   const auto w2 = bimodal(400, 400, 100, 40000, 72);
   make_window(w2, feats);
-  EXPECT_EQ(tc.pick_threshold(w2, feats), t1);
+  EXPECT_EQ(tc.pick_threshold(w2, view(feats)), t1);
   EXPECT_EQ(tc.threshold(), static_cast<std::int64_t>(t1));
 }
 
@@ -166,25 +172,91 @@ TEST(ThresholdController, ReanchorFollowsDistributionJump) {
   // With re-anchoring, a sudden 8x lifetime shift is tracked in one
   // window instead of crawling at <= max_step percentile points.
   ThresholdController tc(test_cfg());
-  std::vector<std::vector<float>> feats;
+  std::vector<float> feats;
   const auto w1 = bimodal(400, 50, 100, 5000, 73);
   make_window(w1, feats);
-  tc.pick_threshold(w1, feats);
+  tc.pick_threshold(w1, view(feats));
   const auto w2 = bimodal(400, 400, 100, 40000, 74);
   make_window(w2, feats);
-  const auto t2 = tc.pick_threshold(w2, feats);
+  const auto t2 = tc.pick_threshold(w2, view(feats));
   EXPECT_GT(t2, 300u);
 }
 
 TEST(ThresholdController, ReportsAccuracyOfWinningCandidate) {
   ThresholdController tc(test_cfg());
   const auto lifetimes = bimodal(400, 50, 100, 5000, 9);
-  std::vector<std::vector<float>> feats;
+  std::vector<float> feats;
   make_window(lifetimes, feats);
-  tc.pick_threshold(lifetimes, feats);
-  tc.pick_threshold(lifetimes, feats);
+  tc.pick_threshold(lifetimes, view(feats));
+  tc.pick_threshold(lifetimes, view(feats));
   // prev_lifetime mirrors the label, so the light model should score well.
   EXPECT_GT(tc.last_accuracy(), 0.7);
+}
+
+// Every threshold, step and winning-candidate accuracy of a seeded
+// six-window run, with and without re-anchoring, recorded from the
+// per-sample LogReg loops that preceded the flat kernels. The features are
+// noisy (prev_lifetime mirrors the lifetime 60 % of the time), so the
+// candidate accuracies depend on every trained weight.
+TEST(ThresholdController, SeededSixWindowRunIsPinned) {
+  struct Window {
+    std::size_t n_short;
+    std::uint64_t short_mode;
+    std::size_t n_long;
+    std::uint64_t long_mode;
+    std::uint64_t seed;
+  };
+  const Window windows[6] = {
+      {400, 50, 100, 5000, 201},   {400, 50, 100, 5000, 202},
+      {400, 80, 100, 6000, 203},   {400, 200, 100, 20000, 204},
+      {350, 200, 150, 20000, 205}, {400, 60, 100, 5000, 206}};
+  struct Pin {
+    std::uint64_t threshold;
+    int step;
+    double accuracy;
+  };
+  const Pin want[2][6] = {
+      {{99, 5, 0.0},
+       {6311, 5, 0x1.bacf92p-1},
+       {159, 4, 0x1.99999ap-1},
+       {397, 5, 0x1.9eb851p-1},
+       {399, 6, 0x1.a4p-1},
+       {119, 7, 0x1.a3d70ap-1}},
+      {{99, 5, 0.0},
+       {99, 6, 0x1.b851ebp-1},
+       {105, 6, 0x1.78p-1},
+       {214, 7, 0x1.0000008p-1},
+       {233, 8, 0x1.8f0f0fp-1},
+       {119, 7, 0x1.b33333p-1}}};
+  for (int pure = 0; pure < 2; ++pure) {
+    auto cfg = test_cfg();
+    cfg.reanchor = pure == 0;
+    ThresholdController tc(cfg);
+    std::vector<float> feats;
+    for (int k = 0; k < 6; ++k) {
+      const Window& w = windows[k];
+      const auto lifetimes =
+          bimodal(w.n_short, w.short_mode, w.n_long, w.long_mode, w.seed);
+      Xoshiro256 noise(w.seed * 31);
+      feats.clear();
+      for (const auto lt : lifetimes) {
+        RawFeatures raw;
+        raw.prev_lifetime = static_cast<std::uint32_t>(
+            noise.next_bool(0.6) ? lt : noise.next_below(4 * w.long_mode));
+        raw.io_len = static_cast<std::uint16_t>(1 + noise.next_below(64));
+        raw.chunk_write = static_cast<std::uint16_t>(noise.next_below(256));
+        raw.is_seq = noise.next_bool(0.3);
+        const auto row = encode_features_compact(raw);
+        feats.insert(feats.end(), row.begin(), row.end());
+      }
+      const Pin& pin = want[pure][k];
+      EXPECT_EQ(tc.pick_threshold(lifetimes, view(feats)), pin.threshold)
+          << "reanchor " << !pure << " window " << k;
+      EXPECT_EQ(tc.step(), pin.step) << "reanchor " << !pure << " window " << k;
+      EXPECT_EQ(tc.last_accuracy(), pin.accuracy)
+          << "reanchor " << !pure << " window " << k;
+    }
+  }
 }
 
 }  // namespace
